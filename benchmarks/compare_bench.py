@@ -16,9 +16,10 @@ they are simulated quantities (``archive_hit_ratio``,
 numbers like ``churn_events_per_sec`` vary with the runner and are
 reported but never gated.
 
-Exits non-zero when any gated number regressed by more than
-``--threshold`` (default 30%) relative to the baseline -- a *drop* for
-higher-is-better keys, a *rise* for lower-is-better ones.
+Exits 1 when any gated number regressed by more than ``--threshold``
+(default 30%) relative to the baseline -- a *drop* for higher-is-better
+keys, a *rise* for lower-is-better ones -- and 2, with a one-line
+message naming the file, when either JSON is missing or unreadable.
 """
 
 from __future__ import annotations
@@ -56,14 +57,26 @@ INFORMATIONAL = (
 )
 
 
+class BenchFileError(Exception):
+    """A benchmark JSON that is missing or not a pytest-benchmark export."""
+
+
 def load_extra_info(path: Path) -> dict[str, dict[str, float]]:
-    """name -> extra_info for every benchmark in a pytest-benchmark JSON."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    return {
-        bench["name"]: bench.get("extra_info", {})
-        for bench in payload["benchmarks"]
-    }
+    """name -> extra_info for every benchmark in a pytest-benchmark JSON.
+
+    Raises :class:`BenchFileError` naming ``path`` when the file is
+    missing, unreadable, or not shaped like a pytest-benchmark export.
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        return {
+            bench["name"]: bench.get("extra_info", {})
+            for bench in payload["benchmarks"]
+        }
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else repr(exc)
+        raise BenchFileError(f"cannot read benchmark file {path}: {reason}")
 
 
 def compare(
@@ -124,11 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    failures = compare(
-        load_extra_info(args.current),
-        load_extra_info(args.baseline),
-        args.threshold,
-    )
+    try:
+        current = load_extra_info(args.current)
+        baseline = load_extra_info(args.baseline)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failures = compare(current, baseline, args.threshold)
     if failures:
         print("\nBenchmark regression detected:", file=sys.stderr)
         for failure in failures:

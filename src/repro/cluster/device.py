@@ -1,33 +1,36 @@
-"""The unified device vocabulary: byte budgets and shared channels.
+"""The unified device vocabulary: byte budgets, shared channels, rungs.
 
 Every physical device the cluster models -- spinning disk, flash
-cache, DRAM, NIC direction, ToR uplink -- reduces to one or both of
-two primitives:
+cache, DRAM, archive partition, NIC direction, ToR uplink -- reduces
+to one or both of two primitives:
 
 :class:`ByteStore`
     A byte budget with ``pin``/``unpin`` residency accounting and
     occupancy sampling.  Models *capacity*: the migrated-block buffer
-    of :class:`~repro.cluster.memory.MemoryStore`, the cache partition
-    of :class:`~repro.cluster.ssd.Ssd`.
+    in memory, the SSD cache partition, a node's archive slice.
 
 :class:`Channel`
     A fair-share bandwidth pipe with the seek-penalty +
     efficiency-floor rate law, backed by a
     :mod:`repro.sim.bandwidth` kernel.  Models *throughput*: the disk
     actuator, the SSD controller, each NIC direction, each rack
-    uplink.
+    uplink, the fabric's archive link.
 
-The concrete device classes (``Disk``, ``Ssd``, ``MemoryStore``,
-``Nic``) are thin configurations of these two -- see the table in
-DESIGN.md §5.  Multi-tier file systems use the same decomposition
-(OctopusFS's storage-tier abstraction, Herodotou & Kakoulli,
-arXiv:1907.02394): a tier is a budget plus a channel, and policy code
-is written once against that vocabulary.
+A node's storage devices are :class:`Rung` s of one ladder
+(:data:`TIER_ORDER`): a channel, an optional store, and the two facts
+that really differ between rungs -- whether a write charges the
+channel and a fixed per-operation latency -- held as data.  Each rung
+is built from its spec (``DiskSpec.rung``, ``MemorySpec.rung``, ...);
+see the table in DESIGN.md §5.  Multi-tier file systems use the same
+decomposition (OctopusFS's storage-tier abstraction, Herodotou &
+Kakoulli, arXiv:1907.02394): a tier is a budget plus a channel, and
+policy code is written once against that vocabulary.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Type
+import math
+from typing import TYPE_CHECKING, Any, Hashable, Iterator, Optional, Type
 
 from repro.sim.bandwidth import Flow, kernel_class
 from repro.sim.events import Event
@@ -35,16 +38,34 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["ByteStore", "Channel", "StoreFull"]
+__all__ = [
+    "TIER_ORDER",
+    "ByteStore",
+    "Channel",
+    "Rung",
+    "StoreFull",
+    "is_promotion",
+    "spec_channel",
+]
+
+#: Canonical rung order: index 0 is the slowest/bottom rung.  Moving a
+#: block to a higher rung is a *promotion*, to a lower one a *demotion*.
+TIER_ORDER: tuple[str, ...] = ("archive", "disk", "ssd", "memory")
+
+
+def is_promotion(source: str, dest: str) -> bool:
+    """Whether moving ``source`` -> ``dest`` climbs the ladder."""
+    return TIER_ORDER.index(dest) > TIER_ORDER.index(source)
 
 
 class StoreFull(RuntimeError):
     """Raised when a ``pin`` would exceed a :class:`ByteStore` budget.
 
-    Device classes raise their historical subclasses
+    Each rung's store raises its own subclass
     (:class:`~repro.cluster.memory.OutOfMemory`,
-    :class:`~repro.cluster.ssd.SsdFull`); policy code that does not
-    care which tier overflowed can catch this base instead.
+    :class:`~repro.cluster.ssd.SsdFull`,
+    :class:`~repro.cluster.archive.ArchiveFull`); policy code that does
+    not care which tier overflowed can catch this base instead.
     """
 
 
@@ -157,6 +178,11 @@ class ByteStore:
     def pinned_keys(self) -> tuple[Hashable, ...]:
         """Keys currently pinned (insertion order)."""
         return tuple(self._pinned)
+
+    def pinned_sizes(self) -> tuple[float, ...]:
+        """Sizes of the pinned entries (insertion order), for exact
+        ``math.fsum`` totals."""
+        return tuple(self._pinned.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -289,4 +315,94 @@ class Channel:
         return (
             f"<Channel {self.name!r} cap={self.capacity:.3g}B/s "
             f"flows={self.active_flows}>"
+        )
+
+
+def spec_channel(sim: "Simulator", spec: Any, name: str) -> Channel:
+    """The channel a device spec with ``bandwidth``/``seek_penalty``/
+    ``min_efficiency`` fields describes."""
+    return Channel(
+        sim,
+        capacity=spec.bandwidth,
+        seek_penalty=spec.seek_penalty,
+        min_efficiency=spec.min_efficiency,
+        name=name,
+    )
+
+
+class Rung:
+    """One storage rung of a node: a channel plus an optional store.
+
+    Consumers use the primitives directly -- ``rung.channel`` for
+    transfers, ``rung.store`` for residency.  The rung itself holds only
+    what differs between rungs, as data:
+
+    * ``store`` is None on disk: disk replicas live in the DFS block
+      map, so the rung has infinite :attr:`capacity` and nothing to pin;
+    * ``charges_writes`` is False on memory: pinning *is* the write
+      (``mlock``), so :meth:`write` charges no transfer;
+    * ``latency`` is the archive's fixed per-operation setup cost
+      (media mount, object-store round trip), 0 on every other rung.
+      The channel stays a pure bandwidth model; whoever drives a
+      whole archival operation waits the latency explicitly.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        channel: Channel,
+        store: Optional[ByteStore] = None,
+        spec: Any = None,
+        charges_writes: bool = True,
+        latency: float = 0.0,
+    ) -> None:
+        self.name = name
+        #: Position in :data:`TIER_ORDER` (higher is faster).
+        self.rank = TIER_ORDER.index(name)
+        self.channel = channel
+        self.store = store
+        self.spec = spec
+        self.charges_writes = charges_writes
+        self.latency = latency
+
+    @property
+    def capacity(self) -> float:
+        """Byte budget (infinite without a store)."""
+        return math.inf if self.store is None else self.store.capacity
+
+    @property
+    def used(self) -> float:
+        """Bytes currently pinned (0 without a store)."""
+        return 0.0 if self.store is None else self.store.used
+
+    @property
+    def peak(self) -> float:
+        """High-water mark of :attr:`used`."""
+        return 0.0 if self.store is None else self.store.peak
+
+    def write(self, nbytes: float, tag: str) -> Optional[Event]:
+        """Charge a write of ``nbytes``; None when writes are pure
+        accounting (memory)."""
+        if not self.charges_writes:
+            return None
+        return self.channel.transfer(nbytes, tag=tag)
+
+    def read_seconds(self, nbytes: float) -> float:
+        """Nominal uncontended seconds to read ``nbytes``: the
+        per-operation latency plus line-rate transfer.
+
+        The tier policies' cost-benefit arithmetic uses this as the
+        *optimistic* per-rung read cost; load-aware costs come from the
+        slaves' EWMA estimators instead.
+        """
+        return self.latency + nbytes / self.channel.capacity
+
+    def utilization(self, since: float = 0.0) -> float:
+        """Busy fraction of the channel since ``since``."""
+        return self.channel.utilization(since)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Rung {self.name} {self.channel.name!r} used={self.used:.3g}/"
+            f"{self.capacity:.3g}B flows={self.channel.active_flows}>"
         )

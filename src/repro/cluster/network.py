@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cluster.device import Channel
+from repro.cluster.device import Channel, spec_channel
 from repro.sim.events import Event
 from repro.units import Gbps
 
@@ -125,13 +125,7 @@ class Fabric:
         #: ArchiveSpec` (duck-typed to avoid an import cycle).
         self.archive_link: "Channel | None" = None
         if archive_spec is not None:
-            self.archive_link = Channel(
-                sim,
-                capacity=archive_spec.bandwidth,
-                seek_penalty=archive_spec.seek_penalty,
-                min_efficiency=archive_spec.min_efficiency,
-                name="fabric.archive",
-            )
+            self.archive_link = spec_channel(sim, archive_spec, "fabric.archive")
 
     @property
     def rack_aware(self) -> bool:

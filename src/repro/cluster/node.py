@@ -1,8 +1,10 @@
-"""A worker node: disk + memory + NIC + task slots.
+"""A worker node: storage rungs + NIC + task slots.
 
 Matches the paper's servers (§V-A): one HDD, 128 GB RAM, a 6-core/12-
 thread CPU (we default to 12 task slots per node, one per hardware
-thread), and a 10 Gbps NIC.
+thread), and a 10 Gbps NIC.  The disk and memory (plus the optional
+SSD and archive partitions) are :class:`~repro.cluster.device.Rung` s
+built once from their specs.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.archive import Archive, ArchiveSpec
-from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.memory import MemorySpec, MemoryStore
+from repro.cluster.archive import ArchiveSpec
+from repro.cluster.device import Channel, Rung
+from repro.cluster.disk import DiskSpec
+from repro.cluster.memory import MemorySpec
 from repro.cluster.network import Nic, NicSpec
-from repro.cluster.ssd import Ssd, SsdSpec
+from repro.cluster.ssd import SsdSpec
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,7 +75,7 @@ class Node:
         node_id: int,
         spec: NodeSpec,
         rack_id: int = 0,
-        archive_channel=None,
+        archive_channel: Optional[Channel] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -82,21 +85,26 @@ class Node:
         #: Back-reference set by the owning Cluster (None for
         #: free-standing nodes in unit tests).
         self.cluster = None
-        self.disk = Disk(sim, spec.disk, name=f"{self.name}.disk")
-        self.memory = MemoryStore(sim, spec.memory, name=f"{self.name}.mem")
-        self.ssd: Optional[Ssd] = (
-            Ssd(sim, spec.ssd, name=f"{self.name}.ssd") if spec.ssd is not None else None
+        self.disk: Rung = spec.disk.rung(sim, f"{self.name}.disk")
+        self.memory: Rung = spec.memory.rung(sim, f"{self.name}.mem")
+        self.ssd: Optional[Rung] = (
+            spec.ssd.rung(sim, f"{self.name}.ssd") if spec.ssd is not None else None
         )
         #: Archive partition.  Clusters pass the fabric's shared archive
         #: link as ``archive_channel``; free-standing nodes get a
         #: private channel from the spec.
-        self.archive: Optional[Archive] = (
-            Archive(
-                sim, spec.archive, name=f"{self.name}.archive", channel=archive_channel
-            )
+        self.archive: Optional[Rung] = (
+            spec.archive.rung(sim, f"{self.name}.archive", archive_channel)
             if spec.archive is not None
             else None
         )
+        #: The rungs present on this node, name -> rung, in ladder
+        #: order.  Rungs are never replaced after construction.
+        self.tiers: dict[str, Rung] = {
+            rung.name: rung
+            for rung in (self.archive, self.disk, self.ssd, self.memory)
+            if rung is not None
+        }
         self.nic = Nic(sim, spec.nic, name=f"{self.name}.nic")
         self.slots = Resource(sim, capacity=spec.task_slots, name=f"{self.name}.slots")
         #: Set by the DFS layer when a DataNode is attached.
@@ -122,17 +130,17 @@ class Node:
         # is traced (buffer_release events); the conservation invariant
         # audits every byte that leaves memory, crashes included.
         if self.datanode is not None:
-            for key in self.memory.pinned_keys():
+            for key in self.memory.store.pinned_keys():
                 self.datanode.unpin_block(key)
             if self.ssd is not None:
-                for key in self.ssd.pinned_keys():
+                for key in self.ssd.store.pinned_keys():
                     self.datanode.unpin_block_ssd(key)
         else:
-            for key in self.memory.pinned_keys():
-                self.memory.unpin(key)
+            for key in self.memory.store.pinned_keys():
+                self.memory.store.unpin(key)
             if self.ssd is not None:
-                for key in self.ssd.pinned_keys():
-                    self.ssd.unpin(key)
+                for key in self.ssd.store.pinned_keys():
+                    self.ssd.store.unpin(key)
 
     def recover(self) -> None:
         """Bring the server back up (with cold memory)."""

@@ -10,6 +10,7 @@ work is off the critical path, §III-D).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -146,8 +147,16 @@ class Cluster:
     # -- aggregate metrics ---------------------------------------------------
 
     def total_memory_used(self) -> float:
-        """Bytes of migrated data pinned cluster-wide."""
-        return sum(n.memory.used for n in self.nodes)
+        """Bytes of migrated data pinned cluster-wide.
+
+        An exact sum (``math.fsum``) over every pinned block, not a
+        sum of the per-node running totals: the liveness audit compares
+        it to an exact sum of the same sizes, and rounding in either
+        would convict runs whose every byte is accounted for.
+        """
+        return math.fsum(
+            nbytes for n in self.nodes for nbytes in n.memory.store.pinned_sizes()
+        )
 
     def disk_utilizations(self, since: float = 0.0) -> list[float]:
         """Per-node disk busy fraction since ``since``."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cluster.device import is_promotion
 from repro.compute.job import TaskKind
 from repro.dfs.datanode import ReadSource
 from repro.obs import metrics as obs_metrics
@@ -136,16 +137,12 @@ class MetricsCollector:
 
     def promotion_count(self) -> int:
         """Completed moves that climbed the tier ladder."""
-        from repro.tiers.tier import is_promotion
-
         return sum(
             n for (s, d), n in self.tier_moves.items() if is_promotion(s, d)
         )
 
     def demotion_count(self) -> int:
         """Completed moves that descended the tier ladder."""
-        from repro.tiers.tier import is_promotion
-
         return sum(
             n for (s, d), n in self.tier_moves.items() if not is_promotion(s, d)
         )

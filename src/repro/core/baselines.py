@@ -182,7 +182,7 @@ class InstantMigrator(MigrationMaster):
                 dest="memory",
             )
             datanode = self.namenode.datanodes[node_id]
-            if not datanode.node.memory.fits(record.block.size):
+            if not datanode.node.memory.store.fits(record.block.size):
                 obs.emit(
                     obs.MLOCK_ABORT,
                     self.sim.now,

@@ -705,7 +705,7 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
         node = namenode.cluster.node(node_id)
         if not node.alive:
             problems.append(f"memory directory maps {block_id} to dead node{node_id}")
-        elif not node.memory.is_pinned(block_id):
+        elif not node.memory.store.is_pinned(block_id):
             problems.append(
                 f"memory directory maps {block_id} to node{node_id}"
                 " but nothing is pinned there"
@@ -714,7 +714,7 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
         node = namenode.cluster.node(node_id)
         if not node.alive:
             problems.append(f"ssd directory maps {block_id} to dead node{node_id}")
-        elif node.ssd is None or not node.ssd.is_pinned(block_id):
+        elif node.ssd is None or not node.ssd.store.is_pinned(block_id):
             problems.append(
                 f"ssd directory maps {block_id} to node{node_id}"
                 " but nothing is pinned there"
@@ -722,7 +722,7 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
     # Conversely: pinned bytes with no directory entry are invisible to
     # the read path -- a silent leak of the memory budget.
     for node in namenode.cluster.nodes:
-        for block_id in node.memory.pinned_keys():
+        for block_id in node.memory.store.pinned_keys():
             if namenode.memory_directory.get(block_id) != node.node_id:
                 problems.append(
                     f"node{node.node_id} pins {block_id}"
@@ -730,7 +730,7 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
                 )
         if node.ssd is not None:
             ssd_directory = getattr(namenode, "ssd_directory", {})
-            for block_id in node.ssd.pinned_keys():
+            for block_id in node.ssd.store.pinned_keys():
                 if ssd_directory.get(block_id) != node.node_id:
                     problems.append(
                         f"node{node.node_id} pins {block_id} on ssd"
@@ -742,14 +742,14 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
     archive_directory = getattr(namenode, "archive_directory", {})
     for block_id, node_id in archive_directory.items():
         node = namenode.cluster.node(node_id)
-        if node.archive is None or not node.archive.is_pinned(block_id):
+        if node.archive is None or not node.archive.store.is_pinned(block_id):
             problems.append(
                 f"archive directory maps {block_id} to node{node_id}"
                 " but nothing is pinned there"
             )
     for node in namenode.cluster.nodes:
         if node.archive is not None:
-            for block_id in node.archive.pinned_keys():
+            for block_id in node.archive.store.pinned_keys():
                 if archive_directory.get(block_id) != node.node_id:
                     problems.append(
                         f"node{node.node_id} pins {block_id} on archive"

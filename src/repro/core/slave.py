@@ -148,7 +148,7 @@ class DyrsSlave:
         return self.node.memory.spec.capacity
 
     def _memory_fits(self, nbytes: float) -> bool:
-        return self.node.memory.used + nbytes <= self.memory_limit + 1e-9
+        return self.node.memory.store.used + nbytes <= self.memory_limit + 1e-9
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -629,7 +629,7 @@ class DyrsSlave:
             self._ssd_worker = None
 
     def _ssd_dest_fits(self, nbytes: float) -> bool:
-        return self.node.ssd is not None and self.node.ssd.fits(nbytes)
+        return self.node.ssd is not None and self.node.ssd.store.fits(nbytes)
 
     def _migrate_one(self, record: MigrationRecord):
         """Execute one serialized migration; returns True if completed.
@@ -645,7 +645,10 @@ class DyrsSlave:
         lane = record.source_tier
         if record.dest_tier == "memory":
             # Memory-pressure GC, then wait for space (§IV-A1, §III-C3).
-            if self.node.memory.used >= self.config.gc_threshold * self.memory_limit:
+            if (
+                self.node.memory.store.used
+                >= self.config.gc_threshold * self.memory_limit
+            ):
                 self.master.gc_sweep()
             while not self._memory_fits(block.size):
                 signal = Event(sim, name=f"space:{lane}:{self.node_id}")

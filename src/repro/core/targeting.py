@@ -25,8 +25,8 @@ bench measures the Python equivalent.
 Kernel registry
 ---------------
 
-Three interchangeable implementations sit behind
-:func:`compute_targets`, following the PR-2 bandwidth-kernel template:
+Two interchangeable implementations sit behind
+:func:`compute_targets`, following the bandwidth-kernel template:
 
 ``legacy``
     The original straight-line transcription of Algorithm 1, kept as
@@ -35,14 +35,6 @@ Three interchangeable implementations sit behind
     The default: same Python algorithm with the per-record inner loop
     devirtualized (no closure allocation, no ``min(key=...)`` call per
     record).  Bit-identical float arithmetic by construction.
-``numpy``
-    Vectorized candidate scoring: finish times for a chunk of pending
-    records are gathered and argmin-reduced in one shot, with chunks
-    re-scored whenever a record in the chunk touched a node a later
-    record also considers (the loop-carried ``finishTime[target] +=``
-    dependency).  All arithmetic stays float64, so results remain
-    bit-identical to the oracle.  Falls back to ``indexed`` when numpy
-    is not installed.
 
 :func:`use_targeting_kernel` swaps the module default, exactly like
 ``repro.sim.bandwidth.use_kernel``.
@@ -55,11 +47,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.records import MigrationRecord
-
-try:  # pragma: no cover - exercised via the numpy kernel tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
 
 __all__ = [
     "SlaveLoad",
@@ -172,99 +159,13 @@ def _compute_targets_indexed(
     return targets
 
 
-def _compute_targets_numpy(
-    pending: Iterable[MigrationRecord],
-    loads: Mapping[int, SlaveLoad],
-    reference_block_size: float,
-    chunk: int = 512,
-) -> dict[int, int]:
-    """Vectorized candidate scoring (optional accelerator).
-
-    Algorithm 1 carries ``finishTime[target] +=`` from each record to
-    the next, which defeats naive vectorization.  We score a *chunk* of
-    records against a finish-time snapshot in one gather + masked
-    argmin, then accept rows in order until a row's candidate set
-    intersects a node some earlier accepted row already updated; the
-    remainder of the chunk is re-scored against fresh times.  Pending
-    lists mostly target distinct nodes per short window, so chunks
-    usually accept whole.  All arithmetic is float64 (the same IEEE
-    ops the oracle performs), keeping results bit-identical.
-    """
-    if _np is None:  # graceful degradation on minimal installs
-        return _compute_targets_indexed(pending, loads, reference_block_size)
-    records = list(pending)
-    finish_time = _initial_finish_times(loads, reference_block_size)
-    targets: dict[int, int] = {}
-    if not records:
-        return targets
-    if not finish_time:
-        for record in records:
-            record.target_node = None
-        return targets
-    node_ids = list(finish_time)
-    dense = {node_id: i for i, node_id in enumerate(node_ids)}
-    ids_arr = _np.asarray(node_ids, dtype=_np.int64)
-    finish = _np.asarray([finish_time[n] for n in node_ids], dtype=_np.float64)
-    spb = _np.asarray(
-        [loads[n].seconds_per_byte for n in node_ids], dtype=_np.float64
-    )
-    elig: list[list[int]] = [
-        [dense[n] for n in record.block.replica_nodes if n in dense]
-        for record in records
-    ]
-    sentinel = _np.iinfo(_np.int64).max
-    start = 0
-    n_records = len(records)
-    while start < n_records:
-        stop = min(start + chunk, n_records)
-        rows = elig[start:stop]
-        width = max(map(len, rows))
-        if width == 0:
-            for k in range(start, stop):
-                records[k].target_node = None
-            start = stop
-            continue
-        mat = _np.zeros((stop - start, width), dtype=_np.int64)
-        valid = _np.zeros((stop - start, width), dtype=bool)
-        for r, locs in enumerate(rows):
-            if locs:
-                mat[r, : len(locs)] = locs
-                valid[r, : len(locs)] = True
-        ft = _np.where(valid, finish[mat], _np.inf)
-        ft_min = ft.min(axis=1)
-        candidate_ids = _np.where(
-            ft == ft_min[:, None], _np.where(valid, ids_arr[mat], sentinel), sentinel
-        ).min(axis=1)
-        # Accept scored rows until the loop-carried dependency bites.
-        touched: set[int] = set()
-        accepted = stop - start
-        for r in range(stop - start):
-            locs = rows[r]
-            record = records[start + r]
-            if not locs:
-                record.target_node = None
-                continue
-            if touched and any(d in touched for d in locs):
-                accepted = r
-                break
-            target = int(candidate_ids[r])
-            record.target_node = target
-            targets[record.block_id] = target
-            d = dense[target]
-            finish[d] = finish[d] + spb[d] * record.block.size
-            touched.add(d)
-        start += max(accepted, 1)
-    return targets
-
-
 _TARGETING_KERNELS = {
     "legacy": _compute_targets_legacy,
     "indexed": _compute_targets_indexed,
-    "numpy": _compute_targets_numpy,
 }
 
 #: Registered Algorithm-1 kernels, fastest-default first.
-TARGETING_KERNEL_NAMES = ("indexed", "numpy", "legacy")
+TARGETING_KERNEL_NAMES = ("indexed", "legacy")
 
 _DEFAULT_TARGETING_KERNEL = "indexed"
 

@@ -57,6 +57,14 @@ class ReadSource(enum.Enum):
         return self in (ReadSource.LOCAL_ARCHIVE, ReadSource.REMOTE_ARCHIVE)
 
 
+#: (local, remote) read source of each device rung.
+_DEVICE_SOURCES = {
+    "ssd": (ReadSource.LOCAL_SSD, ReadSource.REMOTE_SSD),
+    "disk": (ReadSource.LOCAL_DISK, ReadSource.REMOTE_DISK),
+    "archive": (ReadSource.LOCAL_ARCHIVE, ReadSource.REMOTE_ARCHIVE),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class ReadRecord:
     """One completed (started) block read, for metrics."""
@@ -92,16 +100,20 @@ class DataNode:
     def has_disk_replica(self, block_id: BlockId) -> bool:
         return block_id in self._disk_blocks
 
+    def _resident(self, tier: str, block_id: BlockId) -> bool:
+        """Whether ``block_id`` is pinned on this node's ``tier`` rung
+        (False when the node has no such rung)."""
+        rung = self.node.tiers.get(tier)
+        return rung is not None and rung.store.is_pinned(block_id)
+
     def has_memory_replica(self, block_id: BlockId) -> bool:
-        return self.node.memory.is_pinned(block_id)
+        return self.node.memory.store.is_pinned(block_id)
 
     def has_ssd_replica(self, block_id: BlockId) -> bool:
-        return self.node.ssd is not None and self.node.ssd.is_pinned(block_id)
+        return self._resident("ssd", block_id)
 
     def has_archive_replica(self, block_id: BlockId) -> bool:
-        return self.node.archive is not None and self.node.archive.is_pinned(
-            block_id
-        )
+        return self._resident("archive", block_id)
 
     def remove_disk_replica(self, block_id: BlockId) -> None:
         """Forget the disk replica of ``block_id`` (lifecycle
@@ -109,21 +121,23 @@ class DataNode:
         the NameNode."""
         self._disk_blocks.discard(block_id)
 
+    def _block_ids(self, tier: str) -> tuple[BlockId, ...]:
+        rung = self.node.tiers.get(tier)
+        if rung is None:
+            return ()
+        return rung.store.pinned_keys()  # type: ignore[return-value]
+
     def memory_block_ids(self) -> tuple[BlockId, ...]:
         """Blocks currently pinned in this node's memory."""
-        return self.node.memory.pinned_keys()  # type: ignore[return-value]
+        return self._block_ids("memory")
 
     def ssd_block_ids(self) -> tuple[BlockId, ...]:
         """Blocks currently resident on this node's SSD cache."""
-        if self.node.ssd is None:
-            return ()
-        return self.node.ssd.pinned_keys()  # type: ignore[return-value]
+        return self._block_ids("ssd")
 
     def archive_block_ids(self) -> tuple[BlockId, ...]:
         """Blocks archived under this node's partition."""
-        if self.node.archive is None:
-            return ()
-        return self.node.archive.pinned_keys()  # type: ignore[return-value]
+        return self._block_ids("archive")
 
     @property
     def disk_replica_count(self) -> int:
@@ -160,88 +174,68 @@ class DataNode:
         tier edge (disk < ssd < memory write absorption); the caller
         pins the block on the destination tier after completion.
         """
-        if source_tier == "disk":
-            if block.block_id not in self._disk_blocks:
-                raise KeyError(
-                    f"node{self.node_id} has no disk replica of block {block.block_id}"
-                )
-            return self.node.disk.read(block.size, tag=tag)
-        if source_tier == "ssd":
-            if not self.has_ssd_replica(block.block_id):
-                raise KeyError(
-                    f"node{self.node_id} has no SSD replica of block {block.block_id}"
-                )
-            return self.node.ssd.read(block.size, tag=tag)
-        if source_tier == "archive":
-            if not self.has_archive_replica(block.block_id):
-                raise KeyError(
-                    f"node{self.node_id} has no archived copy of block "
-                    f"{block.block_id}"
-                )
-            return self.node.archive.read(block.size, tag=tag)
-        raise ValueError(f"unknown source tier {source_tier!r}")
+        if source_tier not in ("disk", "ssd", "archive"):
+            raise ValueError(f"unknown source tier {source_tier!r}")
+        held = (
+            block.block_id in self._disk_blocks
+            if source_tier == "disk"
+            else self._resident(source_tier, block.block_id)
+        )
+        if not held:
+            raise KeyError(
+                f"node{self.node_id} has no {source_tier} replica of block "
+                f"{block.block_id}"
+            )
+        return self.node.tiers[source_tier].channel.transfer(block.size, tag=tag)
+
+    def _pin(self, tier: str, block: Block) -> None:
+        rung = self.node.tiers.get(tier)
+        if rung is None:
+            raise RuntimeError(f"node{self.node_id} has no {tier} tier")
+        rung.store.pin(block.block_id, block.size)
+
+    def _unpin(self, tier: str, block_id: BlockId) -> float:
+        """Release ``block_id`` from ``tier`` (idempotent), tracing the
+        freed bytes: the conservation invariant audits every byte that
+        leaves a store."""
+        rung = self.node.tiers.get(tier)
+        if rung is None:
+            return 0.0
+        freed = rung.store.unpin(block_id)
+        if freed > 0:
+            obs.emit(
+                obs.BUFFER_RELEASE,
+                self.node.sim.now,
+                block=block_id,
+                node=self.node_id,
+                tier=tier,
+                nbytes=freed,
+            )
+        return freed
 
     def pin_block(self, block: Block) -> None:
         """Account the migrated block in memory (post-``mlock``)."""
-        self.node.memory.pin(block.block_id, block.size)
+        self._pin("memory", block)
 
     def unpin_block(self, block_id: BlockId) -> float:
         """Evict a block from memory (``munmap``); idempotent."""
-        freed = self.node.memory.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="memory",
-                nbytes=freed,
-            )
-        return freed
+        return self._unpin("memory", block_id)
 
     def pin_block_ssd(self, block: Block) -> None:
         """Account ``block`` as resident on this node's SSD cache."""
-        if self.node.ssd is None:
-            raise RuntimeError(f"node{self.node_id} has no SSD tier")
-        self.node.ssd.pin(block.block_id, block.size)
+        self._pin("ssd", block)
 
     def unpin_block_ssd(self, block_id: BlockId) -> float:
         """Drop a block from the SSD cache; idempotent."""
-        if self.node.ssd is None:
-            return 0.0
-        freed = self.node.ssd.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="ssd",
-                nbytes=freed,
-            )
-        return freed
+        return self._unpin("ssd", block_id)
 
     def pin_block_archive(self, block: Block) -> None:
         """Account ``block`` as archived under this node's partition."""
-        if self.node.archive is None:
-            raise RuntimeError(f"node{self.node_id} has no archive tier")
-        self.node.archive.pin(block.block_id, block.size)
+        self._pin("archive", block)
 
     def unpin_block_archive(self, block_id: BlockId) -> float:
         """Drop a block from the archive partition; idempotent."""
-        if self.node.archive is None:
-            return 0.0
-        freed = self.node.archive.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="archive",
-                nbytes=freed,
-            )
-        return freed
+        return self._unpin("archive", block_id)
 
     # -- read paths ----------------------------------------------------------
 
@@ -286,6 +280,16 @@ class DataNode:
 
         return event, cancel
 
+    def _device_tier(self, block_id: BlockId) -> str:
+        """The fastest non-memory rung holding ``block_id``."""
+        if self.has_ssd_replica(block_id):
+            return "ssd"
+        if self.has_disk_replica(block_id):
+            return "disk"
+        if self.has_archive_replica(block_id):
+            return "archive"
+        raise KeyError(f"node{self.node_id} holds no replica of block {block_id}")
+
     def read(
         self, block: Block, reader_node: Optional[int]
     ) -> tuple[Event, ReadSource]:
@@ -300,7 +304,7 @@ class DataNode:
         if self.has_memory_replica(block.block_id):
             if reader_node == self.node_id:
                 source = ReadSource.LOCAL_MEMORY
-                channel = self.node.memory.read_channel
+                channel = self.node.memory.channel
                 flow = channel.start_flow(block.size, tag=tag)
                 cancel = lambda: channel.cancel(flow)  # noqa: E731
                 event = flow.done
@@ -309,45 +313,21 @@ class DataNode:
                 event, cancel = self._remote_memory_transfer(
                     block.size, reader_node, tag
                 )
-        elif self.has_ssd_replica(block.block_id):
-            # SSD reads charge the controller channel only -- like the
-            # disk path, the storage device (not the 10 Gbps NIC) is the
-            # bottleneck whether the reader is local or remote.
-            source = (
-                ReadSource.LOCAL_SSD
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_SSD
-            )
-            flow = self.node.ssd.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.ssd.channel.cancel(flow)  # noqa: E731
-            event = flow.done
-        elif self.has_disk_replica(block.block_id):
-            source = (
-                ReadSource.LOCAL_DISK
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_DISK
-            )
-            flow = self.node.disk.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.disk.channel.cancel(flow)  # noqa: E731
-            event = flow.done
-        elif self.has_archive_replica(block.block_id):
-            # The slowest rung: the shared archive link is the
-            # bottleneck for local and remote readers alike (the data
-            # is fabric-attached either way).  The per-operation setup
-            # latency is folded into policy cost estimates rather than
-            # each read, keeping the read path a cancellable pure flow.
-            source = (
-                ReadSource.LOCAL_ARCHIVE
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_ARCHIVE
-            )
-            flow = self.node.archive.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.archive.channel.cancel(flow)  # noqa: E731
-            event = flow.done
         else:
-            raise KeyError(
-                f"node{self.node_id} holds no replica of block {block.block_id}"
-            )
+            # SSD, disk and archive reads charge the device channel
+            # only: the storage device (not the 10 Gbps NIC) is the
+            # bottleneck whether the reader is local or remote, and the
+            # archive is fabric-attached either way.  The archive's
+            # per-operation latency is folded into policy cost
+            # estimates rather than each read, keeping the read path a
+            # cancellable pure flow.
+            tier = self._device_tier(block.block_id)
+            local, remote = _DEVICE_SOURCES[tier]
+            source = local if reader_node == self.node_id else remote
+            channel = self.node.tiers[tier].channel
+            flow = channel.start_flow(block.size, tag=tag)
+            cancel = lambda: channel.cancel(flow)  # noqa: E731
+            event = flow.done
         self._cancellers[event] = cancel
         event.add_callback(lambda e: self._cancellers.pop(e, None))
         if obs.enabled():

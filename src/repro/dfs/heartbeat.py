@@ -13,8 +13,8 @@ is how the NameNode's miss-counting failure detector notices it.
 Batched vs per-node delivery
 ----------------------------
 
-With no jitter every node heartbeats at the same instants, so the
-service runs **one** simulation process that walks all nodes per
+Every node heartbeats at the same instants, so the service runs
+**one** simulation process that walks all nodes per
 interval (``mode="batched"``, the default) instead of scheduling one
 event per node per interval.  At 1,000 nodes that removes ~500 engine
 events per simulated second.  Delivery order and timestamps are
@@ -22,8 +22,7 @@ identical to the per-node loops: those are created in ``datanodes``
 order at the same instant, so their tick events pop from the heap in
 creation order -- exactly the order the batched walk visits nodes.
 ``mode="per-node"`` keeps the original loops as the equivalence
-oracle; jittered services always use per-node loops (each node owns a
-distinct phase).
+oracle.
 """
 
 from __future__ import annotations
@@ -79,11 +78,8 @@ class HeartbeatService:
     def __init__(
         self,
         namenode: NameNode,
-        jitter: float = 0.0,
         mode: Optional[str] = None,
     ) -> None:
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
         if mode is None:
             mode = _DEFAULT_HEARTBEAT_MODE
         elif mode not in HEARTBEAT_MODES:
@@ -92,10 +88,8 @@ class HeartbeatService:
             )
         self.namenode = namenode
         self.sim = namenode.sim
-        self.jitter = jitter
-        #: Effective delivery strategy; jitter de-phases the nodes, so
-        #: it forces the per-node loops regardless of ``mode``.
-        self.mode = "per-node" if jitter else mode
+        #: Delivery strategy: one batched walk or one loop per node.
+        self.mode = mode
         self._processes: list[Process] = []
         #: node -> payload contributors.  Lazily defaulted: a node may
         #: register with the NameNode *after* this service is built
@@ -136,11 +130,9 @@ class HeartbeatService:
                 self.sim.process(self._loop_all(), name="hb:all")
             )
             return
-        rng = self.namenode.cluster.rngs.stream("heartbeat.jitter")
         for node_id in self.namenode.datanodes:
-            offset = float(rng.random() * self.jitter) if self.jitter else 0.0
             self._processes.append(
-                self.sim.process(self._loop(node_id, offset), name=f"hb:{node_id}")
+                self.sim.process(self._loop(node_id), name=f"hb:{node_id}")
             )
 
     def stop(self) -> None:
@@ -151,13 +143,11 @@ class HeartbeatService:
         self._processes = []
         self._started = False
 
-    def _loop(self, node_id: int, offset: float):
+    def _loop(self, node_id: int):
         sim = self.sim
         interval = self.namenode.heartbeat_interval
         node = self.namenode.cluster.node(node_id)
         try:
-            if offset:
-                yield sim.timeout(offset)
             while True:
                 # A partitioned node still *sends* (it cannot know the
                 # link is down), but the report is lost in transit; we

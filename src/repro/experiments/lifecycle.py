@@ -172,11 +172,9 @@ def run(
             result.tier_bytes = dict(master.tier_bytes)
             resident = {"memory": 0.0, "ssd": 0.0, "archive": 0.0}
             for node in system.cluster.nodes:
-                resident["memory"] += node.memory.used
-                if node.ssd is not None:
-                    resident["ssd"] += node.ssd.used
-                if node.archive is not None:
-                    resident["archive"] += node.archive.used
+                for name, rung in node.tiers.items():
+                    if name in resident:
+                        resident[name] += rung.used
             result.resident_bytes = resident
     return result
 

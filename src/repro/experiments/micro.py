@@ -55,10 +55,12 @@ def _timed_block_read(node_spec: NodeSpec, from_memory: bool, remote: bool = Fal
     cluster = Cluster(ClusterSpec(n_workers=1, node=node_spec, seed=0))
     node = cluster.node(0)
     size = 256 * MB
-    if from_memory:
-        event = node.nic.send(size) if remote else node.memory.read(size)
+    if from_memory and remote:
+        event = node.nic.send(size)
+    elif from_memory:
+        event = node.memory.channel.transfer(size, tag="mem-read")
     else:
-        event = node.disk.read(size)
+        event = node.disk.channel.transfer(size, tag="read")
     cluster.sim.run_until_processed(event)
     return cluster.sim.now
 

@@ -75,7 +75,7 @@ class SwimResult:
 
 def _mean_memory_series(node) -> float:
     """Time-weighted mean of a node's migrated-memory occupancy."""
-    samples = node.memory.usage_samples
+    samples = node.memory.store.usage_samples
     if len(samples) < 2:
         return 0.0
     total = 0.0

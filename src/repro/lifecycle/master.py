@@ -55,7 +55,7 @@ from repro.tiers.master import TierConfig, TieredDyrsMaster
 from repro.tiers.temperature import Temperature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.archive import Archive
+    from repro.cluster.device import Rung
     from repro.dfs.namenode import NameNode
 
 __all__ = ["LifecycleConfig", "LifecycleMaster"]
@@ -346,7 +346,7 @@ class LifecycleMaster(TieredDyrsMaster):
             return (
                 dn is not None
                 and dn.node.archive is not None
-                and dn.node.archive.fits(block.size)
+                and dn.node.archive.store.fits(block.size)
             )
 
         if preferred is not None and fits(preferred):
@@ -370,13 +370,13 @@ class LifecycleMaster(TieredDyrsMaster):
         if source is None or owner is None:
             self._abort_move(record, "no-source")
             return
-        archive: "Archive" = namenode.datanodes[owner].node.archive
+        archive: "Rung" = namenode.datanodes[owner].node.archive
         record.target_node = source
         record.mark_bound(owner, self.sim.now)
         record.mark_active(self.sim.now)
         # Fixed per-operation archival setup cost (media mount / object
         # store round trip), then the disk read and the fabric write.
-        yield self.sim.timeout(archive.spec.latency)
+        yield self.sim.timeout(archive.latency)
         if record.status.is_terminal:
             return
         yield namenode.datanodes[source].copy_block(
@@ -417,7 +417,7 @@ class LifecycleMaster(TieredDyrsMaster):
             self.integrity.forget(block_id)
             self._abort_move(record, "corrupt")
             return
-        if not archive.fits(block.size):
+        if not archive.store.fits(block.size):
             self.integrity.forget(block_id)
             self._abort_move(record, "archive-full")
             return
@@ -482,12 +482,12 @@ class LifecycleMaster(TieredDyrsMaster):
         if not targets:
             self._abort_move(record, "no-target")
             return
-        archive: "Archive" = owner_dn.node.archive
+        archive: "Rung" = owner_dn.node.archive
         replicas_before = len(block.replica_nodes) + 1
         record.target_node = owner
         record.mark_bound(targets[0], self.sim.now)
         record.mark_active(self.sim.now)
-        yield self.sim.timeout(archive.spec.latency)
+        yield self.sim.timeout(archive.latency)
         if record.status.is_terminal:
             return
         if new_targets:

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cluster.device import TIER_ORDER
 from repro.tiers.policy import PlacementContext, _best_available
 from repro.tiers.temperature import Temperature
-from repro.tiers.tier import TIER_ORDER
 
 __all__ = ["LifecycleRule", "LifecycleTable", "TablePolicy", "default_table"]
 

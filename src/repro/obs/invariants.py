@@ -63,6 +63,7 @@ per scheme x case) reuses them.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from pathlib import Path
 from typing import Optional, Union
@@ -413,7 +414,8 @@ class TraceInvariants:
         actual pinned-byte total at quiesce, e.g.
         ``cluster.total_memory_used()``.  The ledger built from
         ``mlock_done``/``preload`` minus ``buffer_release`` must agree
-        with it exactly; a crash path that unpins without tracing (or
+        with it exactly (both sides are ``math.fsum`` totals of the same
+        block sizes); a crash path that unpins without tracing (or
         traces without unpinning) breaks the equality.
         """
         found: list[str] = []
@@ -472,7 +474,11 @@ class TraceInvariants:
                     )
         close_segment()
         if final_memory_bytes is not None:
-            total = sum(ledger.values())
+            # Exact (order-independent) sum, matching
+            # ``Cluster.total_memory_used``: running float totals of
+            # fractional block sizes drift by an ulp (1.9e-6 at 8 GiB)
+            # depending on summation order alone.
+            total = math.fsum(ledger.values())
             if abs(total - final_memory_bytes) > 1e-6:
                 found.append(
                     f"conservation: trace ledger holds {total} resident "

@@ -1,10 +1,10 @@
 """Tiered-storage extension: an SSD rung between disk and memory.
 
 This package generalizes DYRS's two-level disk->memory migration into
-a three-rung storage ladder (disk < ssd < memory):
+a three-rung storage ladder (disk < ssd < memory).  The rungs
+themselves are the cluster's :class:`~repro.cluster.device.Rung` s
+(``Node.tiers``); this package holds the policy around them:
 
-* :mod:`repro.tiers.tier` -- the :class:`StorageTier` facade over the
-  cluster's concrete devices;
 * :mod:`repro.tiers.temperature` -- per-block EWMA access tracking and
   the hot/warm/cold classification;
 * :mod:`repro.tiers.policy` -- pure placement policies (temperature
@@ -18,6 +18,7 @@ the paper evaluates touches it, and building a system without the
 ``"dyrs-tiered"`` scheme creates none of its objects.
 """
 
+from repro.cluster.device import TIER_ORDER, is_promotion
 from repro.tiers.master import TierConfig, TieredDyrsMaster
 from repro.tiers.policy import (
     CostBenefitPolicy,
@@ -26,24 +27,11 @@ from repro.tiers.policy import (
     TierPolicy,
 )
 from repro.tiers.temperature import Temperature, TemperatureTracker
-from repro.tiers.tier import (
-    TIER_ORDER,
-    DiskTier,
-    MemoryTier,
-    SsdTier,
-    StorageTier,
-    is_promotion,
-    node_tiers,
-)
 
 __all__ = [
     "TIER_ORDER",
     "CostBenefitPolicy",
-    "DiskTier",
-    "MemoryTier",
     "PlacementContext",
-    "SsdTier",
-    "StorageTier",
     "Temperature",
     "TemperatureTracker",
     "ThresholdPolicy",
@@ -51,5 +39,4 @@ __all__ = [
     "TierPolicy",
     "TieredDyrsMaster",
     "is_promotion",
-    "node_tiers",
 ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.device import is_promotion
 from repro.core.master import DyrsConfig, DyrsMaster
 from repro.core.policies import MigrationPolicy
 from repro.core.records import BindingEvent, MigrationRecord, MigrationStatus
@@ -43,7 +44,6 @@ from repro.tiers.policy import (
     TierPolicy,
 )
 from repro.tiers.temperature import Temperature, TemperatureTracker
-from repro.tiers.tier import is_promotion, node_tiers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.metrics import MetricsCollector
@@ -365,7 +365,7 @@ class TieredDyrsMaster(DyrsMaster):
                 node.ssd is not None
                 and not dn.has_ssd_replica(record.block_id)
                 and self._verified_ssd_holder(record.block_id) is None
-                and node.ssd.fits(record.block.size)
+                and node.ssd.store.fits(record.block.size)
                 and self.temperature.classify(record.block_id, self.sim.now)
                 is not Temperature.COLD
             ):
@@ -434,7 +434,7 @@ class TieredDyrsMaster(DyrsMaster):
             temperature=self.temperature.classify(block.block_id, self.sim.now),
             access_rate=self.temperature.access_rate(block.block_id),
             resident_tier=resident,
-            tiers=node_tiers(slave.node),
+            tiers=slave.node.tiers,
             move_seconds_per_byte=slave.estimator.seconds_per_byte,
         )
 

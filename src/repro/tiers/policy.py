@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
+from repro.cluster.device import TIER_ORDER, Rung
 from repro.tiers.temperature import Temperature
-from repro.tiers.tier import TIER_ORDER, StorageTier
 
 __all__ = [
     "PlacementContext",
@@ -51,7 +51,8 @@ class PlacementContext:
         Highest tier currently holding the block (``"disk"`` if only
         the DFS replicas exist).
     tiers:
-        The candidate node's tier ladder (name -> :class:`StorageTier`).
+        The candidate node's tier ladder (``Node.tiers``: name ->
+        :class:`~repro.cluster.device.Rung`).
     move_seconds_per_byte:
         EWMA-estimated cost of copying one byte tier-to-tier on the
         candidate node (from the slave's migration estimator).
@@ -61,7 +62,7 @@ class PlacementContext:
     temperature: Temperature
     access_rate: float
     resident_tier: str
-    tiers: Mapping[str, StorageTier]
+    tiers: Mapping[str, Rung]
     move_seconds_per_byte: float
 
 
@@ -73,7 +74,7 @@ class TierPolicy(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _best_available(preferred: str, tiers: Mapping[str, StorageTier]) -> str:
+def _best_available(preferred: str, tiers: Mapping[str, Rung]) -> str:
     """``preferred`` if that rung exists on the node, else the highest
     existing rung at or below it (``disk`` always exists)."""
     start = TIER_ORDER.index(preferred)

@@ -1,29 +1,32 @@
-"""The unified device layer: ByteStore, Channel, and the thin devices.
+"""The unified device layer: ByteStore, Channel, and the storage rung.
 
-Verifies that `Disk`/`Ssd`/`MemoryStore`/`Nic` are faithful
-configurations of the two primitives, that the historical exception
-types still work (now under the common `StoreFull` base), and that the
-PR-2 deprecated `_resource`/`_read_resource` aliases are gone for good
-(callers go through `channel` / `read_channel`).
+Verifies that every node-local device is one `Rung` type built from its
+spec -- a faithful configuration of the two primitives -- that `Nic`
+directions are plain channels, that each rung's store raises its own
+`StoreFull` subclass, and that the retired spellings (`_resource`,
+`_read_resource`, `read_channel`) stay gone.
 """
+
+import math
 
 import pytest
 
 from repro.cluster import (
+    ArchiveSpec,
     ByteStore,
     Channel,
-    Disk,
     DiskSpec,
     MemorySpec,
-    MemoryStore,
     Nic,
     NicSpec,
+    NodeSpec,
     OutOfMemory,
-    Ssd,
+    Rung,
     SsdFull,
     SsdSpec,
     StoreFull,
 )
+from repro.cluster.node import Node
 from repro.sim import Simulator
 from repro.sim.bandwidth import BandwidthResource, use_kernel
 from repro.sim.legacy_bandwidth import LegacyBandwidthResource
@@ -118,35 +121,39 @@ class TestChannel:
 class TestThinDevices:
     def test_disk_is_a_channel_of_its_spec(self):
         sim = Simulator()
-        disk = Disk(sim, DiskSpec(bandwidth=150.0, seek_penalty=0.35))
+        disk = DiskSpec(bandwidth=150.0, seek_penalty=0.35).rung(sim)
+        assert isinstance(disk, Rung) and disk.name == "disk"
+        assert disk.store is None
+        assert math.isinf(disk.capacity)
         assert disk.channel.capacity == 150.0
         assert disk.channel.seek_penalty == 0.35
-        done = disk.read(75.0)
+        done = disk.channel.transfer(75.0)
         sim.run_until_processed(done)
-        assert disk.bytes_moved == pytest.approx(75.0)
-        assert disk.busy_time == pytest.approx(0.5)
+        assert disk.channel.bytes_moved == pytest.approx(75.0)
+        assert disk.channel.busy_time == pytest.approx(0.5)
 
     def test_memory_store_is_bytestore_plus_read_channel(self):
         sim = Simulator()
-        mem = MemoryStore(sim, MemorySpec(capacity=100.0, read_bandwidth=1000.0))
-        mem.pin("blk", 40.0)
+        mem = MemorySpec(capacity=100.0, read_bandwidth=1000.0).rung(sim)
+        mem.store.pin("blk", 40.0)
         assert mem.store.used == 40.0
         assert mem.used == 40.0
         with pytest.raises(OutOfMemory):
-            mem.pin("big", 100.0)
+            mem.store.pin("big", 100.0)
         assert isinstance(OutOfMemory("x"), StoreFull)
-        done = mem.read(500.0)
+        assert not mem.charges_writes
+        done = mem.channel.transfer(500.0)
         sim.run_until_processed(done)
-        assert mem.read_channel.bytes_moved == pytest.approx(500.0)
+        assert mem.channel.bytes_moved == pytest.approx(500.0)
 
     def test_ssd_is_both_primitives(self):
         sim = Simulator()
-        ssd = Ssd(sim, SsdSpec(capacity=100.0, bandwidth=500.0))
-        ssd.pin("blk", 10.0)
-        assert ssd.store.used == 10.0
+        ssd = SsdSpec(capacity=100.0, bandwidth=500.0).rung(sim)
+        ssd.store.pin("blk", 10.0)
+        assert ssd.used == 10.0
         with pytest.raises(SsdFull):
-            ssd.pin("big", 1000.0)
-        done = ssd.read(250.0)
+            ssd.store.pin("big", 1000.0)
+        done = ssd.channel.transfer(250.0)
         sim.run_until_processed(done)
         assert ssd.channel.bytes_moved == pytest.approx(250.0)
 
@@ -161,40 +168,41 @@ class TestThinDevices:
 
     def test_error_message_format_preserved(self):
         sim = Simulator()
-        mem = MemoryStore(sim, MemorySpec(capacity=100.0), name="mem0")
+        mem = MemorySpec(capacity=100.0).rung(sim, "mem0")
         with pytest.raises(OutOfMemory, match=r"mem0: pin of 200B exceeds budget"):
-            mem.pin("blk", 200.0)
+            mem.store.pin("blk", 200.0)
 
 
 class TestDeprecatedAliasesRemoved:
     def test_resource_aliases_are_gone(self):
-        # The PR-2 `_resource`/`_read_resource` deprecation shims were
-        # removed after two releases; the public spelling is `channel`
-        # (and `read_channel` for memory).
+        # The `_resource`/`_read_resource` shims and the memory-only
+        # `read_channel` spelling are gone: every rung exposes `channel`.
         sim = Simulator()
-        assert not hasattr(Disk(sim, DiskSpec()), "_resource")
-        assert not hasattr(Ssd(sim, SsdSpec()), "_resource")
-        assert not hasattr(MemoryStore(sim, MemorySpec()), "_read_resource")
+        node = Node(sim, 0, NodeSpec().with_ssd().with_archive())
+        for rung in node.tiers.values():
+            assert not hasattr(rung, "_resource")
+            assert not hasattr(rung, "_read_resource")
+            assert not hasattr(rung, "read_channel")
 
     def test_channel_spelling_is_the_public_path(self):
         sim = Simulator()
-        disk = Disk(sim, DiskSpec())
-        ssd = Ssd(sim, SsdSpec())
-        mem = MemoryStore(sim, MemorySpec())
-        assert disk.channel.kernel is not None
-        assert ssd.channel.kernel is not None
-        assert mem.read_channel.kernel is not None
+        node = Node(sim, 0, NodeSpec().with_ssd().with_archive())
+        assert list(node.tiers) == ["archive", "disk", "ssd", "memory"]
+        for rung in node.tiers.values():
+            assert rung.channel.kernel is not None
+        assert node.memory.channel.name == "node0.mem.read"
+        assert node.disk.channel.name == "node0.disk"
 
     def test_public_constructors_and_signatures_unchanged(self):
-        # The estimator/targeting call sites rely on these exact
-        # shapes; out-of-tree scripts construct devices directly.
+        # Each rung is built from its spec; out-of-tree scripts
+        # construct free-standing rungs the same way.
         sim = Simulator()
-        disk = Disk(sim, DiskSpec(), name="d0")
-        assert disk.expected_read_time(150e6) > 0
-        assert disk.read_rate_hint(extra_streams=2) > 0
-        mem = MemoryStore(sim, MemorySpec(), name="m0")
-        assert mem.fits(1.0)
-        ssd = Ssd(sim, SsdSpec(), name="s0")
-        assert ssd.fits(1.0)
+        disk = DiskSpec().rung(sim, "d0")
+        assert disk.channel.expected_duration(150e6) > 0
+        assert disk.channel.rate_hint(extra_flows=2) > 0
+        assert MemorySpec().rung(sim, "m0").store.fits(1.0)
+        assert SsdSpec().rung(sim, "s0").store.fits(1.0)
+        link = Channel(sim, capacity=1.0)
+        assert ArchiveSpec().rung(sim, "a0", link).channel is link
         nic = Nic(sim, NicSpec(), name="n0")
         assert nic.egress.expected_duration(1e6) > 0

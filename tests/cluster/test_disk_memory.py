@@ -1,8 +1,8 @@
-"""Unit tests for the disk and memory models."""
+"""Unit tests for the disk and memory rungs."""
 
 import pytest
 
-from repro.cluster import Disk, DiskSpec, MemorySpec, MemoryStore, OutOfMemory
+from repro.cluster import DiskSpec, MemorySpec, OutOfMemory
 from repro.sim import Simulator
 from repro.units import MB
 
@@ -27,44 +27,45 @@ class TestDiskSpec:
 
 class TestDisk:
     def test_sequential_read_time(self, sim):
-        disk = Disk(sim, DiskSpec(bandwidth=100 * MB, seek_penalty=0.5))
-        done = disk.read(200 * MB)
+        disk = DiskSpec(bandwidth=100 * MB, seek_penalty=0.5).rung(sim)
+        done = disk.channel.transfer(200 * MB)
         sim.run()
         assert done.processed
         assert sim.now == pytest.approx(2.0)
 
     def test_reads_and_writes_share_actuator(self, sim):
-        disk = Disk(sim, DiskSpec(bandwidth=100 * MB, seek_penalty=0.0))
-        r = disk.read(100 * MB)
-        w = disk.write(100 * MB)
+        disk = DiskSpec(bandwidth=100 * MB, seek_penalty=0.0).rung(sim)
+        r = disk.channel.transfer(100 * MB, tag="read")
+        w = disk.write(100 * MB, tag="write")
         sim.run()
         assert r.processed and w.processed
         assert sim.now == pytest.approx(2.0)
 
     def test_read_rate_hint_reflects_load(self, sim):
-        disk = Disk(sim, DiskSpec(bandwidth=100 * MB, seek_penalty=1.0))
-        solo = disk.read_rate_hint()
-        disk.start_stream(float("inf"))
-        loaded = disk.read_rate_hint()
+        disk = DiskSpec(bandwidth=100 * MB, seek_penalty=1.0).rung(sim)
+        solo = disk.channel.rate_hint()
+        disk.channel.start_flow(float("inf"))
+        loaded = disk.channel.rate_hint()
         assert solo == pytest.approx(100 * MB)
         # k=2, p=1: aggregate 50 MB/s shared by 2 -> 25 MB/s.
         assert loaded == pytest.approx(25 * MB)
 
     def test_expected_read_time(self, sim):
-        disk = Disk(sim, DiskSpec(bandwidth=100 * MB, seek_penalty=0.0))
-        assert disk.expected_read_time(50 * MB) == pytest.approx(0.5)
+        disk = DiskSpec(bandwidth=100 * MB, seek_penalty=0.0).rung(sim)
+        assert disk.channel.expected_duration(50 * MB) == pytest.approx(0.5)
+        assert disk.read_seconds(50 * MB) == pytest.approx(0.5)
 
     def test_cancel_stream(self, sim):
-        disk = Disk(sim, DiskSpec())
-        flow = disk.start_stream(float("inf"))
-        assert disk.active_streams == 1
-        disk.cancel_stream(flow)
-        assert disk.active_streams == 0
+        disk = DiskSpec().rung(sim)
+        flow = disk.channel.start_flow(float("inf"))
+        assert disk.channel.active_flows == 1
+        disk.channel.cancel(flow)
+        assert disk.channel.active_flows == 0
 
 
 class TestMemoryStore:
     def make(self, sim, capacity=10 * MB):
-        return MemoryStore(sim, MemorySpec(capacity=capacity))
+        return MemorySpec(capacity=capacity).rung(sim).store
 
     def test_pin_accounts_bytes(self, sim):
         mem = self.make(sim)
@@ -113,8 +114,9 @@ class TestMemoryStore:
         assert levels == [0.0, MB, 0.0]
 
     def test_memory_read_is_fast(self, sim):
-        mem = MemoryStore(sim, MemorySpec(read_bandwidth=1000 * MB))
-        done = mem.read(100 * MB)
+        mem = MemorySpec(read_bandwidth=1000 * MB).rung(sim)
+        assert mem.write(100 * MB, tag="mlock") is None  # pinning is the write
+        done = mem.channel.transfer(100 * MB, tag="mem-read")
         sim.run()
         assert done.processed
         assert sim.now == pytest.approx(0.1)

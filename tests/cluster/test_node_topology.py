@@ -61,7 +61,7 @@ class TestNode:
 
     def test_fail_drops_memory(self, sim):
         node = Node(sim, 0, NodeSpec())
-        node.memory.pin("b", MB)
+        node.memory.store.pin("b", MB)
         node.fail()
         assert not node.alive
         assert node.memory.used == 0.0
@@ -101,8 +101,8 @@ class TestCluster:
 
     def test_total_memory_used(self):
         cluster = Cluster(ClusterSpec(n_workers=2))
-        cluster.node(0).memory.pin("a", MB)
-        cluster.node(1).memory.pin("b", 2 * MB)
+        cluster.node(0).memory.store.pin("a", MB)
+        cluster.node(1).memory.store.pin("b", 2 * MB)
         assert cluster.total_memory_used() == 3 * MB
 
     def test_seed_flows_to_rngs(self):

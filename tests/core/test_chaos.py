@@ -138,7 +138,7 @@ class TestFailureTimingWindows:
         be reclaimed (stale slave report) when that process dies and
         never restarts -- the node itself keeps heartbeating."""
         for node in rig.cluster.nodes:
-            node.memory.pin("filler", node.memory.spec.capacity - 32 * MB)
+            node.memory.store.pin("filler", node.memory.spec.capacity - 32 * MB)
         rig.client.create_file("input", 64 * MB)
         rig.master.migrate(["input"], job_id="j1")
         record = rig.master.record_log[0]
@@ -152,7 +152,7 @@ class TestFailureTimingWindows:
         rig.master.slaves[victim].crash()  # never restarted
         for node in rig.cluster.nodes:
             if node.node_id != victim:
-                node.memory.unpin("filler")
+                node.memory.store.unpin("filler")
                 rig.master.slaves[node.node_id].notify_memory_freed()
         rig.sim.run(until=rig.sim.now + 60)
         assert record.status.is_terminal

@@ -135,12 +135,12 @@ class TestLedgerScanEquivalence:
 
 class TestTargetingKernelEquivalence:
     def test_kernels_registered(self):
-        assert set(TARGETING_KERNEL_NAMES) == {"legacy", "indexed", "numpy"}
+        assert set(TARGETING_KERNEL_NAMES) == {"legacy", "indexed"}
         with pytest.raises(ValueError):
             with use_targeting_kernel("bogus"):
                 pass
 
-    @pytest.mark.parametrize("kernel", ["indexed", "numpy"])
+    @pytest.mark.parametrize("kernel", ["indexed"])
     def test_swim_byte_identical(self, kernel):
         with use_targeting_kernel("legacy"):
             oracle = _swim_logs()
@@ -171,15 +171,6 @@ class TestHeartbeatModeEquivalence:
         with use_heartbeat_mode("batched"):
             batched = _swim_logs(chaos=True)
         assert batched == per_node
-
-    def test_jitter_forces_per_node(self):
-        system = build_system(
-            PaperSetup(scheme="dyrs", seed=1, interference="none")
-        )
-        from repro.dfs.heartbeat import HeartbeatService
-
-        service = HeartbeatService(system.namenode, jitter=0.5, mode="batched")
-        assert service.mode == "per-node"
 
 
 class TestIdlePullNotify:

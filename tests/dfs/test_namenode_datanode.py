@@ -223,7 +223,8 @@ class TestDFSClientFacade:
         block = entry.blocks[0]
         # Every replica node's disk saw the write.
         for nid in block.replica_nodes:
-            assert cluster.node(nid).disk.bytes_moved == pytest.approx(block.size)
+            disk = cluster.node(nid).disk
+            assert disk.channel.bytes_moved == pytest.approx(block.size)
 
     def test_blocks_of(self, client):
         client.create_file("a", 128 * MB)

@@ -1,9 +1,9 @@
-"""Archive device semantics: budget, shared fabric link, durability."""
+"""Archive rung semantics: budget, shared fabric link, durability."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
-from repro.cluster.archive import Archive, ArchiveFull, ArchiveSpec
+from repro.cluster.archive import ArchiveFull, ArchiveSpec
 from repro.sim.engine import Simulator
 from repro.units import GB, MB
 
@@ -23,28 +23,28 @@ class TestArchiveSpec:
 class TestFreeStandingDevice:
     def test_budget_accounting(self):
         sim = Simulator()
-        archive = Archive(sim, ArchiveSpec(capacity=128 * MB))
-        archive.pin("a", 64 * MB)
+        archive = ArchiveSpec(capacity=128 * MB).rung(sim)
+        archive.store.pin("a", 64 * MB)
         assert archive.used == 64 * MB
-        assert archive.fits(64 * MB)
-        assert not archive.fits(65 * MB)
+        assert archive.store.fits(64 * MB)
+        assert not archive.store.fits(65 * MB)
         with pytest.raises(ArchiveFull):
-            archive.pin("b", 96 * MB)
-        assert archive.unpin("a") == 64 * MB
+            archive.store.pin("b", 96 * MB)
+        assert archive.store.unpin("a") == 64 * MB
         assert archive.used == 0.0
-        assert not archive.shared_channel
+        # Free-standing: a private link named after the partition.
+        assert archive.channel.name == "archive"
 
     def test_read_seconds_includes_the_setup_latency(self):
         sim = Simulator()
-        archive = Archive(
-            sim, ArchiveSpec(bandwidth=120 * MB, latency=0.5)
-        )
+        archive = ArchiveSpec(bandwidth=120 * MB, latency=0.5).rung(sim)
+        assert archive.latency == 0.5
         assert archive.read_seconds(120 * MB) == pytest.approx(1.5)
 
     def test_transfer_charges_the_channel(self):
         sim = Simulator()
-        archive = Archive(sim, ArchiveSpec(bandwidth=100 * MB, latency=0.0))
-        event = archive.write(200 * MB)
+        archive = ArchiveSpec(bandwidth=100 * MB, latency=0.0).rung(sim)
+        event = archive.write(200 * MB, tag="archive-write")
         sim.run(until=10.0)
         assert event.triggered
         assert sim.now >= 2.0  # 200 MB at 100 MB/s
@@ -67,7 +67,6 @@ class TestClusterWiring:
         assert link is not None
         for node in cluster.nodes:
             assert node.archive is not None
-            assert node.archive.shared_channel
             assert node.archive.channel is link
 
     def test_archiveless_cluster_has_no_link(self):
@@ -81,11 +80,11 @@ class TestClusterWiring:
         memory and SSD state."""
         cluster = self._cluster()
         node = cluster.nodes[0]
-        node.archive.pin(42, 1 * GB)
-        node.memory.pin(43, 64 * MB)
+        node.archive.store.pin(42, 1 * GB)
+        node.memory.store.pin(43, 64 * MB)
         node.fail()
-        assert node.archive.is_pinned(42)
+        assert node.archive.store.is_pinned(42)
         assert node.archive.used == 1 * GB
         assert node.memory.used == 0.0
         node.recover()
-        assert node.archive.is_pinned(42)
+        assert node.archive.store.is_pinned(42)

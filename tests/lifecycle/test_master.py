@@ -21,7 +21,7 @@ class TestDemotion:
         bid = block.block_id
         owner = rig.namenode.archive_directory[bid]
         assert rig.namenode.datanodes[owner].has_archive_replica(bid)
-        assert rig.cluster.nodes[owner].archive.is_pinned(bid)
+        assert rig.cluster.nodes[owner].archive.store.is_pinned(bid)
         # Default cold_replication=1: the archive copy is the only
         # durable one, every disk replica was reclaimed.
         assert block.replica_nodes == ()

@@ -168,6 +168,46 @@ class TestMain:
         )
 
 
+    @pytest.mark.parametrize("which", ["current", "baseline"])
+    def test_missing_file_fails_with_one_line(self, tmp_path, capsys, which):
+        present = _bench_json(
+            tmp_path, "present.json", {"bench": {"swim_speedup": 2.0}}
+        )
+        missing = tmp_path / "BENCH_absent.json"
+        argv = (
+            [str(missing), str(present)]
+            if which == "current"
+            else [str(present), str(missing)]
+        )
+        assert compare_bench.main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("content", ["{not json", '{"no": "benchmarks"}', "[]"])
+    def test_unreadable_file_fails_with_one_line(self, tmp_path, capsys, content):
+        present = _bench_json(
+            tmp_path, "present.json", {"bench": {"swim_speedup": 2.0}}
+        )
+        broken = tmp_path / "broken.json"
+        broken.write_text(content)
+        assert compare_bench.main([str(present), str(broken)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(broken) in err
+
+
+def test_committed_baselines_load():
+    """Every CI bench leg's baseline is committed and readable, so the
+    gate compares numbers instead of crashing on a missing file."""
+    baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+    for suite in ("kernel", "lifecycle", "shard", "scale"):
+        assert compare_bench.load_extra_info(baselines / f"BENCH_{suite}.json")
+    scale = compare_bench.load_extra_info(baselines / "BENCH_scale.json")
+    assert "events_per_task_1k" in scale["test_scale_sweep"]
+    assert "idle_notify_event_ratio" in scale["test_idle_notify_event_ratio"]
+
+
 @pytest.mark.parametrize("key", compare_bench.GATED + compare_bench.GATED_LOWER)
 def test_every_gated_key_produces_output(key, capsys):
     """Each configured gate key actually participates in comparison."""

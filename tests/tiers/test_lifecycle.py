@@ -101,7 +101,7 @@ class TestDemoteOnEvict:
             tier_config=TierConfig(promote_warm_to_ssd=False),
         )
         node = rig.cluster.nodes[0]
-        node.ssd.pin("filler", 64 * MB)  # the cache is already full
+        node.ssd.store.pin("filler", 64 * MB)  # the cache is already full
         a = rig.client.create_file("a", 64 * MB).blocks[0]
         b = rig.client.create_file("b", 64 * MB).blocks[0]
         rig.master.migrate(["a"], job_id="j1", eviction=EvictionMode.IMPLICIT)

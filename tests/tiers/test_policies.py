@@ -10,7 +10,6 @@ from repro.tiers import (
     PlacementContext,
     Temperature,
     ThresholdPolicy,
-    node_tiers,
 )
 from repro.units import MB
 
@@ -22,12 +21,12 @@ def sim():
 
 @pytest.fixture
 def full_ladder(sim):
-    return node_tiers(Node(sim, 0, NodeSpec().with_ssd(SsdSpec())))
+    return Node(sim, 0, NodeSpec().with_ssd(SsdSpec())).tiers
 
 
 @pytest.fixture
 def two_rungs(sim):
-    return node_tiers(Node(sim, 0, NodeSpec()))
+    return Node(sim, 0, NodeSpec()).tiers
 
 
 def ctx(tiers, temperature=Temperature.WARM, access_rate=0.0,

@@ -1,20 +1,13 @@
-"""Unit tests for the SSD device and the StorageTier facade."""
+"""Unit tests for the SSD rung and the node's tier ladder."""
 
 import math
 
 import pytest
 
-from repro.cluster import NodeSpec, Ssd, SsdFull, SsdSpec
+from repro.cluster import NodeSpec, SsdFull, SsdSpec
 from repro.cluster.node import Node
 from repro.sim import Simulator
-from repro.tiers import (
-    TIER_ORDER,
-    DiskTier,
-    MemoryTier,
-    SsdTier,
-    is_promotion,
-    node_tiers,
-)
+from repro.tiers import TIER_ORDER, is_promotion
 from repro.units import GB, MB
 
 
@@ -40,7 +33,7 @@ class TestSsdSpec:
 
 class TestSsdDevice:
     def test_pin_unpin_accounting(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=128 * MB))
+        ssd = SsdSpec(capacity=128 * MB).rung(sim).store
         ssd.pin("a", 64 * MB)
         assert ssd.used == pytest.approx(64 * MB)
         assert ssd.is_pinned("a")
@@ -50,30 +43,30 @@ class TestSsdDevice:
         assert ssd.peak == pytest.approx(64 * MB)
 
     def test_pin_over_budget_raises(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=64 * MB))
+        ssd = SsdSpec(capacity=64 * MB).rung(sim).store
         ssd.pin("a", 64 * MB)
         assert not ssd.fits(1.0)
         with pytest.raises(SsdFull):
             ssd.pin("b", 64 * MB)
 
     def test_double_pin_raises(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=256 * MB))
+        ssd = SsdSpec(capacity=256 * MB).rung(sim).store
         ssd.pin("a", 64 * MB)
         with pytest.raises(KeyError):
             ssd.pin("a", 64 * MB)
 
     def test_unpin_is_idempotent(self, sim):
-        ssd = Ssd(sim, SsdSpec())
+        ssd = SsdSpec().rung(sim).store
         assert ssd.unpin("never-pinned") == 0.0
 
     def test_transfer_charges_device_time(self, sim):
         spec = SsdSpec(bandwidth=500 * MB)
-        ssd = Ssd(sim, spec)
-        event = ssd.write(500 * MB)
+        ssd = spec.rung(sim)
+        event = ssd.write(500 * MB, tag="ssd-write")
         sim.run(until=10)
         assert event.triggered
-        assert ssd.busy_time == pytest.approx(1.0)
-        assert ssd.bytes_moved == pytest.approx(500 * MB)
+        assert ssd.channel.busy_time == pytest.approx(1.0)
+        assert ssd.channel.bytes_moved == pytest.approx(500 * MB)
 
 
 class TestTierFacade:
@@ -88,44 +81,44 @@ class TestTierFacade:
 
     def test_node_tiers_with_ssd(self, sim):
         node = Node(sim, 0, NodeSpec().with_ssd())
-        tiers = node_tiers(node)
-        assert set(tiers) == {"disk", "ssd", "memory"}
-        assert isinstance(tiers["disk"], DiskTier)
-        assert isinstance(tiers["ssd"], SsdTier)
-        assert isinstance(tiers["memory"], MemoryTier)
+        tiers = node.tiers
+        assert list(tiers) == ["disk", "ssd", "memory"]
+        assert tiers["disk"] is node.disk
+        assert tiers["ssd"] is node.ssd
+        assert tiers["memory"] is node.memory
         assert tiers["disk"].rank < tiers["ssd"].rank < tiers["memory"].rank
 
     def test_node_tiers_without_ssd(self, sim):
         node = Node(sim, 0, NodeSpec())
-        assert set(node_tiers(node)) == {"disk", "memory"}
+        assert set(node.tiers) == {"disk", "memory"}
 
     def test_disk_tier_is_bottomless(self, sim):
-        tier = node_tiers(Node(sim, 0, NodeSpec()))["disk"]
+        tier = Node(sim, 0, NodeSpec()).tiers["disk"]
+        # No store: replicas live in the DFS block map.
+        assert tier.store is None
         assert math.isinf(tier.capacity)
-        assert tier.fits(1e18)
-        tier.pin("x", 64 * MB)  # no-op: replicas live in the block map
-        assert not tier.is_resident("x")
-        assert tier.unpin("x") == 0.0
+        assert tier.used == 0.0
 
     def test_ssd_tier_delegates_residency(self, sim):
         node = Node(sim, 0, NodeSpec().with_ssd(SsdSpec(capacity=1 * GB)))
-        tier = node_tiers(node)["ssd"]
-        tier.pin("blk", 64 * MB)
-        assert node.ssd.is_pinned("blk")
-        assert tier.is_resident("blk")
+        tier = node.tiers["ssd"]
+        tier.store.pin("blk", 64 * MB)
+        assert node.ssd.store.is_pinned("blk")
         assert tier.used == pytest.approx(64 * MB)
-        assert tier.free == pytest.approx(1 * GB - 64 * MB)
-        assert tier.unpin("blk") == pytest.approx(64 * MB)
+        assert tier.capacity - tier.used == pytest.approx(1 * GB - 64 * MB)
+        assert tier.store.unpin("blk") == pytest.approx(64 * MB)
 
     def test_memory_tier_write_is_pure_accounting(self, sim):
-        tier = node_tiers(Node(sim, 0, NodeSpec()))["memory"]
-        assert tier.write(64 * MB) is None
+        tier = Node(sim, 0, NodeSpec()).tiers["memory"]
+        assert tier.write(64 * MB, tag="tier-write") is None
+        assert tier.channel.active_flows == 0
 
     def test_read_seconds_orders_the_ladder(self, sim):
-        tiers = node_tiers(Node(sim, 0, NodeSpec().with_ssd()))
+        tiers = Node(sim, 0, NodeSpec().with_ssd().with_archive()).tiers
         size = 64 * MB
         assert (
             tiers["memory"].read_seconds(size)
             < tiers["ssd"].read_seconds(size)
             < tiers["disk"].read_seconds(size)
+            < tiers["archive"].read_seconds(size)
         )
