@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.estimator import MigrationTimeEstimator
 from repro.core.records import MigrationRecord, MigrationStatus
@@ -326,11 +326,33 @@ class DyrsSlave:
         if space <= 0:
             return
         self._pull_in_flight = True
-        self.sim.process(self._pull(space), name=f"pull:{self.node_id}")
+        self._pull_later(0.0, self._pull_start, space)
 
     def _rpc_leg_delay(self) -> float:
         """One-way RPC delay including any injected spike."""
         return self.config.rpc_latency + self._rpc_extra
+
+    # -- pull RPCs as scheduled callback chains -----------------------------------
+    #
+    # A pull is a chain of ``_pull*`` callbacks, one engine event per
+    # wait: a zero-delay hop where the RPC is issued, then one scheduled
+    # call per leg, service time or backoff.  A zero wait runs the next
+    # step inline.  A callback re-checks the slave's alive/epoch fence
+    # only where the protocol does -- after service time, after the
+    # inbound leg and after a backoff -- and every exit runs the pull's
+    # close step.
+
+    def _pull_later(self, delay: float, fn: Callable[..., object], *args) -> None:
+        """Call ``fn(*args)`` ``delay`` simulated seconds from now."""
+        sim = self.sim
+        sim.call_at(sim.now + delay, lambda: fn(*args))
+
+    def _pull_then(self, delay: float, fn: Callable[..., object], *args) -> None:
+        """Call ``fn(*args)`` after ``delay``, or inline if there is none."""
+        if delay > 0:
+            self._pull_later(delay, fn, *args)
+        else:
+            fn(*args)
 
     # -- the async cross-shard pull (shard_pull_window > 1) -------------------------
 
@@ -372,128 +394,121 @@ class DyrsSlave:
                     window=window,
                     outstanding=outstanding + 1,
                 )
-            sim.process(
-                self._pull_leg(shard_id, generation, self._epoch),
-                name=f"pull-leg:{self.node_id}:{shard_id}",
-            )
+            self._pull_later(0.0, self._pull_leg, shard_id, generation, self._epoch)
 
-    def _pull_leg(self, shard_id: int, generation: int, epoch: int):
-        """One detached per-shard pull leg.
+    def _pull_leg(self, shard_id: int, generation: int, epoch: int) -> None:
+        """One detached per-shard pull leg: the outbound RPC.
 
         Timing mirrors the synchronous pull's legs -- outbound delay
         (plus any shard-targeted chaos extra), shard-local service,
         bind, inbound delay -- but scoped to one shard and fenced by
-        both the slave epoch and the shard generation.  The window
-        itself is the flow-control mechanism, so ``rpc_timeout`` does
-        not apply: a slow leg holds only its own window slot, never the
-        whole pull.
+        both the slave epoch (taken when the leg opened) and the shard
+        generation (inside ``bind_from_shard``).  The window itself is
+        the flow-control mechanism, so ``rpc_timeout`` does not apply:
+        a slow leg holds only its own window slot, never the whole pull.
         """
-        sim = self.sim
+        outbound = self._rpc_leg_delay() + self.master.shard_rpc_extra(shard_id)
+        self._pull_then(outbound, self._pull_leg_serve, shard_id, generation, epoch)
+
+    def _pull_leg_serve(self, shard_id: int, generation: int, epoch: int) -> None:
         master = self.master
-        delivered = False
-        try:
-            outbound = self._rpc_leg_delay() + master.shard_rpc_extra(shard_id)
-            if outbound > 0:
-                yield sim.timeout(outbound)
-            if self._partitioned or not master.alive:
-                # Blackholed request: nothing was bound, the leg just
-                # burns its window slot for the round trip.
-                return
-            service = master.shard_pull_service_seconds(shard_id)
-            if service > 0:
-                yield sim.timeout(service)
-                if not self.alive or self._epoch != epoch:
-                    return
-            granted = master.bind_from_shard(
-                shard_id, generation, self.node_id, self._async_space()
+        if self._partitioned or not master.alive:
+            # Blackholed request: nothing was bound, the leg just
+            # burns its window slot for the round trip.
+            self._pull_leg_close(shard_id, epoch, False)
+            return
+        service = master.shard_pull_service_seconds(shard_id)
+        if service > 0:
+            self._pull_later(
+                service, self._pull_leg_serviced, shard_id, generation, epoch
             )
-            if not granted:
-                return
-            self._async_undelivered += len(granted)
-            inbound = self._rpc_leg_delay()
-            if inbound > 0:
-                yield sim.timeout(inbound)
-            if not self.alive or self._epoch != epoch:
-                # Crashed while the response was in flight: the crash
-                # already zeroed the undelivered counter for the old
-                # epoch, so only the master-side records need rescue.
-                master.requeue_undelivered(granted)
-                return
+        else:
+            self._pull_leg_bind(shard_id, generation, epoch)
+
+    def _pull_leg_serviced(self, shard_id: int, generation: int, epoch: int) -> None:
+        if not self.alive or self._epoch != epoch:
+            self._pull_leg_close(shard_id, epoch, False)
+            return
+        self._pull_leg_bind(shard_id, generation, epoch)
+
+    def _pull_leg_bind(self, shard_id: int, generation: int, epoch: int) -> None:
+        granted = self.master.bind_from_shard(
+            shard_id, generation, self.node_id, self._async_space()
+        )
+        if not granted:
+            self._pull_leg_close(shard_id, epoch, False)
+            return
+        self._async_undelivered += len(granted)
+        self._pull_then(
+            self._rpc_leg_delay(), self._pull_leg_deliver, shard_id, epoch, granted
+        )
+
+    def _pull_leg_deliver(
+        self, shard_id: int, epoch: int, granted: list[MigrationRecord]
+    ) -> None:
+        delivered = False
+        if not self.alive or self._epoch != epoch:
+            # Crashed while the response was in flight: the crash
+            # already zeroed the undelivered counter for the old
+            # epoch, so only the master-side records need rescue.
+            self.master.requeue_undelivered(granted)
+        else:
             self._async_undelivered -= len(granted)
             for record in granted:
                 if not record.status.is_terminal:
                     self.enqueue(record)
                     delivered = True
-        finally:
-            if self._epoch == epoch:
-                count = self._leg_outstanding.get(shard_id, 0)
-                if count > 0:
-                    self._leg_outstanding[shard_id] = count - 1
-            if obs.enabled():
-                obs.emit(
-                    obs.PULL_LEG_CLOSE, sim.now, node=self.node_id, shard=shard_id
-                )
-            if delivered:
-                # More space may remain (partial fill): chase it now.
-                # An empty leg deliberately does NOT re-trigger -- idle
-                # re-polls come from the worker loop at heartbeat
-                # cadence, exactly like the synchronous path, so an
-                # idle slave never busy-polls at RTT cadence.
-                self._maybe_pull()
+        self._pull_leg_close(shard_id, epoch, delivered)
 
-    def _pull(self, space: int):
-        """One pull, with optional timeout/retry (the hardened path).
+    def _pull_leg_close(self, shard_id: int, epoch: int, delivered: bool) -> None:
+        """Every leg exit: free the window slot, trace the close, and
+        chase remaining space after a delivery."""
+        if self._epoch == epoch:
+            count = self._leg_outstanding.get(shard_id, 0)
+            if count > 0:
+                self._leg_outstanding[shard_id] = count - 1
+        if obs.enabled():
+            obs.emit(
+                obs.PULL_LEG_CLOSE, self.sim.now, node=self.node_id, shard=shard_id
+            )
+        if delivered:
+            # More space may remain (partial fill): chase it now.
+            # An empty leg deliberately does NOT re-trigger -- idle
+            # re-polls come from the worker loop at heartbeat
+            # cadence, exactly like the synchronous path, so an
+            # idle slave never busy-polls at RTT cadence.
+            self._maybe_pull()
 
-        The epoch is captured at launch; if the slave crashes while the
-        RPC is in flight, every subsequent delivery or flag update is
-        fenced off by the epoch mismatch.
-        """
-        epoch = self._epoch
-        try:
-            attempt = 0
-            while True:
-                completed = yield from self._pull_once(space, epoch)
-                if (
-                    completed
-                    or attempt >= self.config.rpc_max_retries
-                    or not self.alive
-                    or self._epoch != epoch
-                ):
-                    return
-                attempt += 1
-                obs.emit(
-                    obs.RPC_RETRY, self.sim.now, node=self.node_id, attempt=attempt
-                )
-                backoff = self.config.rpc_backoff_base * (
-                    self.config.rpc_backoff_factor ** (attempt - 1)
-                )
-                if backoff > 0:
-                    yield self.sim.timeout(backoff)
-                if not self.alive or self._epoch != epoch:
-                    return
-        finally:
-            if self._epoch == epoch:
-                self._pull_in_flight = False
+    # -- the synchronous pull, with optional timeout/retry (the hardened path) ------
 
-    def _pull_once(self, space: int, epoch: int):
-        """One pull RPC round trip; True if it completed (even empty),
-        False if it timed out and is worth retrying.
+    def _pull_start(self, space: int) -> None:
+        """The pull's first step.  The epoch is read here: if the slave
+        crashes while the RPC is in flight, every later delivery or
+        flag update is fenced off by the epoch mismatch."""
+        self._pull_attempt(space, self._epoch, 0)
+
+    def _pull_attempt(self, space: int, epoch: int, attempt: int) -> None:
+        """One pull RPC round trip: the outbound leg.
 
         With ``rpc_timeout`` unset (the paper's configuration) the
-        timing is byte-identical to the original unbounded pull: wait
-        the outbound leg, ask the master, wait the inbound leg, deliver.
+        timing is the original unbounded pull: wait the outbound leg,
+        ask the master, wait the inbound leg, deliver.
         """
-        sim = self.sim
         budget = self.config.rpc_timeout
         outbound = self._rpc_leg_delay()
         if budget is not None and outbound >= budget:
             # The request itself exceeds the budget; nothing was ever
             # bound at the master, so timing out is side-effect free.
-            yield sim.timeout(budget)
-            obs.emit(obs.RPC_TIMEOUT, sim.now, node=self.node_id, leg="request")
-            return False
-        if outbound > 0:
-            yield sim.timeout(outbound)
+            self._pull_later(
+                budget, self._pull_timeout, space, epoch, attempt, "request"
+            )
+            return
+        self._pull_then(outbound, self._pull_serve, space, epoch, attempt, outbound)
+
+    def _pull_serve(
+        self, space: int, epoch: int, attempt: int, outbound: float
+    ) -> None:
+        budget = self.config.rpc_timeout
         if self._partitioned or not self.master.alive:
             # The request is blackholed (partition) or the master is
             # down: no response will ever come.
@@ -501,28 +516,41 @@ class DyrsSlave:
                 # Unbounded RPC: model the round trip the original code
                 # took (an empty grant after both legs) and give up
                 # until the worker's next periodic poll.
-                inbound = self._rpc_leg_delay()
-                if inbound > 0:
-                    yield sim.timeout(inbound)
-                return True
-            remaining = budget - outbound
-            if remaining > 0:
-                yield sim.timeout(remaining)
-            obs.emit(obs.RPC_TIMEOUT, sim.now, node=self.node_id, leg="response")
-            return False
+                self._pull_then(self._rpc_leg_delay(), self._pull_close, epoch)
+                return
+            self._pull_then(
+                budget - outbound, self._pull_timeout, space, epoch, attempt, "response"
+            )
+            return
         # Master-side service: the time the master spends scanning its
         # pending state before it can answer (0 under the paper's
-        # configuration -- no yield, timing byte-identical).  A sharded
+        # configuration: no wait).  A sharded
         # master services the pull from one shard-local map, which is
         # exactly what the shard sweep measures.
         service = self.master.pull_service_seconds(self.node_id)
         if service > 0:
-            yield sim.timeout(service)
-            if not self.alive or self._epoch != epoch:
-                # Crashed while the master was servicing the call;
-                # nothing was bound yet, so walking away is safe.
-                return True
-        granted = self.master.request_work(self.node_id, space)
+            self._pull_later(
+                service, self._pull_serviced, space, epoch, attempt, outbound
+            )
+        else:
+            self._pull_grant(space, epoch, attempt, outbound)
+
+    def _pull_serviced(
+        self, space: int, epoch: int, attempt: int, outbound: float
+    ) -> None:
+        if not self.alive or self._epoch != epoch:
+            # Crashed while the master was servicing the call; nothing
+            # was bound yet, so walking away is safe.
+            self._pull_close(epoch)
+            return
+        self._pull_grant(space, epoch, attempt, outbound)
+
+    def _pull_grant(
+        self, space: int, epoch: int, attempt: int, outbound: float
+    ) -> None:
+        master = self.master
+        granted = master.request_work(self.node_id, space)
+        budget = self.config.rpc_timeout
         inbound = self._rpc_leg_delay()
         if budget is not None and outbound + inbound > budget:
             # The response (carrying bound records!) will land after the
@@ -530,19 +558,15 @@ class DyrsSlave:
             # bound at the master.  Requeue them at the moment the lost
             # response would have arrived -- exactly when a real slave's
             # delivery-failure path would fire.
-            master = self.master
             if granted:
-                sim.call_at(
-                    sim.now + inbound,
-                    lambda: master.requeue_undelivered(granted),
-                )
-            remaining = budget - outbound
-            if remaining > 0:
-                yield sim.timeout(remaining)
-            obs.emit(obs.RPC_TIMEOUT, sim.now, node=self.node_id, leg="response")
-            return False
-        if inbound > 0:
-            yield sim.timeout(inbound)
+                self._pull_later(inbound, master.requeue_undelivered, granted)
+            self._pull_then(
+                budget - outbound, self._pull_timeout, space, epoch, attempt, "response"
+            )
+            return
+        self._pull_then(inbound, self._pull_deliver, epoch, granted)
+
+    def _pull_deliver(self, epoch: int, granted: list[MigrationRecord]) -> None:
         if not self.alive or self._epoch != epoch:
             # Crashed (or crashed-and-restarted: new epoch) while the
             # response was in flight.  The bound records were never
@@ -551,11 +575,40 @@ class DyrsSlave:
             # detector ever reclaims them.
             if granted:
                 self.master.requeue_undelivered(granted)
-            return True
-        for record in granted:
-            if not record.status.is_terminal:
-                self.enqueue(record)
-        return True
+        else:
+            for record in granted:
+                if not record.status.is_terminal:
+                    self.enqueue(record)
+        self._pull_close(epoch)
+
+    def _pull_timeout(self, space: int, epoch: int, attempt: int, leg: str) -> None:
+        """The attempt ran out of budget: retry after a backoff, or give up."""
+        obs.emit(obs.RPC_TIMEOUT, self.sim.now, node=self.node_id, leg=leg)
+        if (
+            attempt >= self.config.rpc_max_retries
+            or not self.alive
+            or self._epoch != epoch
+        ):
+            self._pull_close(epoch)
+            return
+        attempt += 1
+        obs.emit(obs.RPC_RETRY, self.sim.now, node=self.node_id, attempt=attempt)
+        backoff = self.config.rpc_backoff_base * (
+            self.config.rpc_backoff_factor ** (attempt - 1)
+        )
+        self._pull_then(backoff, self._pull_retry, space, epoch, attempt)
+
+    def _pull_retry(self, space: int, epoch: int, attempt: int) -> None:
+        if not self.alive or self._epoch != epoch:
+            self._pull_close(epoch)
+            return
+        self._pull_attempt(space, epoch, attempt)
+
+    def _pull_close(self, epoch: int) -> None:
+        """Every pull exit: clear the in-flight flag -- unless a crash
+        already reset it and a newer incarnation may own it now."""
+        if self._epoch == epoch:
+            self._pull_in_flight = False
 
     def _run(self):
         sim = self.sim

@@ -96,6 +96,12 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
 )
 
 
+def _where(i: int, event: TraceEvent) -> str:
+    """A violation's location: its stream index and time.  Built only
+    when a violation is recorded -- a clean audit formats nothing."""
+    return f"event #{i} t={event.time}"
+
+
 class InvariantViolation(AssertionError):
     """Raised by :meth:`TraceInvariants.check_all` on any violation."""
 
@@ -122,7 +128,6 @@ class TraceInvariants:
 
         for i, event in enumerate(self.events):
             etype, f = event.type, event.fields
-            where = f"event #{i} t={event.time}"
 
             if etype == T.RUN_START:
                 # A new simulated world: identifiers start over, so
@@ -139,7 +144,7 @@ class TraceInvariants:
                 block = f["block"]
                 if pending[block] <= 0:
                     found.append(
-                        f"{where}: bind of {block} on {f.get('node')} "
+                        f"{_where(i, event)}: bind of {block} on {f.get('node')} "
                         "with no outstanding pending (delayed binding "
                         "violated, §III-A1)"
                     )
@@ -151,7 +156,7 @@ class TraceInvariants:
                 prior = f.get("status")
                 if prior is not None and (prior, "discarded") not in LEGAL_TRANSITIONS:
                     found.append(
-                        f"{where}: drop of {block} from status "
+                        f"{_where(i, event)}: drop of {block} from status "
                         f"{prior!r} is not a legal transition "
                         "(record lattice violated, §III-A)"
                     )
@@ -162,7 +167,7 @@ class TraceInvariants:
                 key = (f["node"], f.get("source", "disk"))
                 if key in copying:
                     found.append(
-                        f"{where}: mlock_start of {f['block']} on "
+                        f"{_where(i, event)}: mlock_start of {f['block']} on "
                         f"{key[0]} lane={key[1]} while {copying[key]} "
                         "still copying (per-disk serialization "
                         "violated, §III-B)"
@@ -185,7 +190,7 @@ class TraceInvariants:
                 key = (f["node"], f["block"])
                 if key not in resident:
                     found.append(
-                        f"{where}: read_memory of {f['block']} on "
+                        f"{_where(i, event)}: read_memory of {f['block']} on "
                         f"{f['node']} before its mlock_done (read "
                         "served from an unlocked buffer)"
                     )
@@ -198,7 +203,7 @@ class TraceInvariants:
                 key = (f["node"], f["block"])
                 if key in resident:
                     found.append(
-                        f"{where}: block {f['block']} evicted on "
+                        f"{_where(i, event)}: block {f['block']} evicted on "
                         f"{f['node']} while still memory-resident "
                         "(buffer not released, §III-C3)"
                     )
@@ -220,7 +225,6 @@ class TraceInvariants:
             etype, f = event.type, event.fields
             if etype not in (T.TIER_MOVE, T.TIER_MOVE_CORRUPT):
                 continue
-            where = f"event #{i} t={event.time}"
             block = f.get("block")
             resident = f.get("resident") or []
             if not resident:
@@ -230,7 +234,7 @@ class TraceInvariants:
                     else "move left"
                 )
                 found.append(
-                    f"{where}: {what} block {block} resident in zero "
+                    f"{_where(i, event)}: {what} block {block} resident in zero "
                     "tiers (source deleted before the copy was safe)"
                 )
             if etype == T.TIER_MOVE_CORRUPT:
@@ -239,20 +243,20 @@ class TraceInvariants:
                 continue
             if "archive" in resident and not f.get("checksum"):
                 found.append(
-                    f"{where}: block {block} archive-resident without "
+                    f"{_where(i, event)}: block {block} archive-resident without "
                     "a recorded checksum (integrity model violated)"
                 )
             after = f.get("replicas_after")
             if after is not None and after < 1:
                 found.append(
-                    f"{where}: move of block {block} left "
+                    f"{_where(i, event)}: move of block {block} left "
                     f"{after} durable copies (conservation violated)"
                 )
             if f.get("dest") == "archive":
                 target = f.get("target_replicas")
                 if after is not None and target is not None and after != target:
                     found.append(
-                        f"{where}: archive demotion of block {block} "
+                        f"{_where(i, event)}: archive demotion of block {block} "
                         f"left {after} durable copies, target "
                         f"{target} (replication scheduler violated)"
                     )
@@ -306,7 +310,6 @@ class TraceInvariants:
 
         for i, event in enumerate(self.events):
             etype, f = event.type, event.fields
-            where = f"event #{i} t={event.time}"
             if etype == T.RUN_START:
                 reset()
                 segment += 1
@@ -333,7 +336,7 @@ class TraceInvariants:
                 window = f.get("window")
                 if window is not None and open_legs[key] > window:
                     found.append(
-                        f"{where}: node {key[0]} has {open_legs[key]} "
+                        f"{_where(i, event)}: node {key[0]} has {open_legs[key]} "
                         f"open pull legs to shard {key[1]}, window "
                         f"{window} (outstanding budget violated)"
                     )
@@ -356,33 +359,33 @@ class TraceInvariants:
                 n_shards = count
             elif count != n_shards:
                 found.append(
-                    f"{where}: segment {segment} shard count changed "
+                    f"{_where(i, event)}: segment {segment} shard count changed "
                     f"{n_shards} -> {count} (resharding mid-run "
                     "re-homes records)"
                 )
             shard = f.get("shard")
             if count is not None and not 0 <= shard < count:
                 found.append(
-                    f"{where}: shard id {shard} outside "
+                    f"{_where(i, event)}: shard id {shard} outside "
                     f"range({count})"
                 )
             if etype == T.SHARD_ASSIGN:
                 block = f["block"]
                 if shard in dead:
                     found.append(
-                        f"{where}: block {block} assigned to shard "
+                        f"{_where(i, event)}: block {block} assigned to shard "
                         f"{shard} after it was declared dead "
                         "(rebalance single-ownership violated)"
                     )
                 if block in assigned:
                     found.append(
-                        f"{where}: block {block} assigned to shard "
+                        f"{_where(i, event)}: block {block} assigned to shard "
                         f"{shard} while shard {assigned[block]} still "
                         "owns it (single ownership violated)"
                     )
                 elif pending[block] <= 0:
                     found.append(
-                        f"{where}: shard_assign of {block} with no "
+                        f"{_where(i, event)}: shard_assign of {block} with no "
                         "outstanding pending record"
                     )
                 assigned[block] = shard
@@ -394,7 +397,7 @@ class TraceInvariants:
                 prior = generations.get(shard, 0)
                 if generation != prior + 1:
                     found.append(
-                        f"{where}: shard {shard} recovered at "
+                        f"{_where(i, event)}: shard {shard} recovered at "
                         f"generation {generation}, expected {prior + 1}"
                     )
                 generations[shard] = generation

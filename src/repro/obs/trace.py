@@ -148,7 +148,7 @@ PULL_LEG_OPEN = "pull_leg_open"
 PULL_LEG_CLOSE = "pull_leg_close"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One structured trace record.
 

@@ -3,23 +3,30 @@
 Each case runs one scheme on a small seeded workload and hashes what
 the run simulated: every migration record (status and timestamps), the
 master's binding log, the tier/lifecycle move ledgers and per-edge move
-counts where the scheme has them, the final simulated time and the
-number of engine steps.  A refactor that keeps behaviour keeps every
-digest; one that moves a single event or float changes it.
+counts where the scheme has them, and the final simulated time.  A
+refactor that keeps behaviour keeps every digest; one that moves a
+single event or float changes it.
+
+The number of engine steps is pinned separately (``GOLDEN_STEPS``), so
+a change that runs the same simulation on fewer events -- a cheaper
+scheduling of the same callbacks -- moves only its step pin, while a
+behaviour change moves the digest.
 
 The cases cover the device traffic every storage rung carries: disk
 reads under interference, memory pins under chaos, SSD promotions and
 demotions, archive moves over the shared fabric link under
 tier-move/fabric faults, and the sharded async pull protocol.
 
-To regenerate after a change that is *meant* to alter the simulation,
-print the current digests and paste them into ``GOLDEN``::
+To regenerate after a change that is *meant* to alter the simulation
+(or its event count), print the current digests and step counts and
+paste them into ``GOLDEN``/``GOLDEN_STEPS``::
 
     PYTHONPATH=src python -m tests.core.test_golden_digests
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -56,7 +63,8 @@ def _record_row(r) -> list:
     ]
 
 
-def _digest(system) -> str:
+def _digest(system) -> tuple[str, int]:
+    """The run's outcome hash and its engine step count."""
     master = system.master
     blob = {
         "records": [_record_row(r) for r in master.record_log],
@@ -74,12 +82,12 @@ def _digest(system) -> str:
             [*edge, n] for edge, n in getattr(master, "tier_moves", {}).items()
         ),
         "end": repr(system.sim.now),
-        "steps": system.sim.steps,
     }
-    return hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+    return digest, system.sim.steps
 
 
-def _chaos_run(scheme, workload, seed, kinds=None, shards=1) -> str:
+def _chaos_run(scheme, workload, seed, kinds=None, shards=1) -> tuple[str, int]:
     """One chaos campaign run to quiesce, as the chaos soak runs it."""
     system = build_system(
         PaperSetup(
@@ -102,7 +110,7 @@ def _chaos_run(scheme, workload, seed, kinds=None, shards=1) -> str:
     return _digest(system)
 
 
-def sort_alt() -> str:
+def sort_alt() -> tuple[str, int]:
     system = build_system(
         PaperSetup(scheme="dyrs", seed=11, interference="alt-10s-1")
     )
@@ -111,24 +119,24 @@ def sort_alt() -> str:
     return _digest(system)
 
 
-def swim_chaos() -> str:
+def swim_chaos() -> tuple[str, int]:
     return _chaos_run("dyrs", "swim", seed=3)
 
 
-def tiered_swim() -> str:
+def tiered_swim() -> tuple[str, int]:
     system = build_system(PaperSetup(scheme="dyrs-tiered", seed=5))
     system.runtime.run_to_completion(_submit_workload(system, "swim", 5))
     system.sim.run(until=system.sim.now + 300.0)
     return _digest(system)
 
 
-def lifecycle_aging() -> str:
+def lifecycle_aging() -> tuple[str, int]:
     return _chaos_run(
         "dyrs-lifecycle", "aging", seed=7, kinds=ChaosCampaign.ARCHIVE_KINDS
     )
 
 
-def sharded_async_chaos() -> str:
+def sharded_async_chaos() -> tuple[str, int]:
     return _chaos_run("dyrs-sharded-async", "swim", seed=2, shards=4)
 
 
@@ -140,31 +148,58 @@ CASES = {
     "dyrs-sharded-async-4-chaos": sharded_async_chaos,
 }
 
-#: Generated at the commit before the device layer became one rung type.
+#: Outcome digests, generated at the commit before pull RPCs became
+#: scheduled callback chains (and unchanged by it).
 GOLDEN = {
     "dyrs-sort-alt-10s-1": (
-        "b0db73359014673619fbacd25693d8081bdb835efd4d021d1b225e1227a72b48"
+        "a2d4bfce102228300b4a849b572cd97d47eb9ff78c0695615f599bbb7e1f14a0"
     ),
     "dyrs-swim-chaos": (
-        "5303f0b4f1357510843199b0263ece25b2814e26f5d192ff952b97cff81afc63"
+        "310d982ff6fc006f9e3b5dd963e724e4a4d7304ac661e2ff607c9054d2cb9277"
     ),
     "dyrs-tiered-swim": (
-        "6bf74b475bbf23de3fcfb0da728c8ad4413756635414ec329aba76fa994e07c3"
+        "195d8d6e9619097451581b5f9f9500a6c3f589cc8ce06ea821e6cc9c4fd44926"
     ),
     "dyrs-lifecycle-aging-archive-faults": (
-        "7c8cf61f2d45cadc92a28a3acba194ec5059eb2ea08a13ad7d1867e919085dfe"
+        "cd2993b4e8a8324661d599b60f25f2c57c92553caeb96ece3bf9a36f6a214ade"
     ),
     "dyrs-sharded-async-4-chaos": (
-        "4ab51eb782d32e39475076f6ad893bd1e2caa3af177aed9120e5395a00e17556"
+        "59531cddca7dd479ff44adb474e690a2e4488f8f11bcb49647014aab09be65d2"
     ),
 }
+
+#: Engine steps per case: the event budget of the same simulation.
+GOLDEN_STEPS = {
+    "dyrs-sort-alt-10s-1": 1722,
+    "dyrs-swim-chaos": 3525,
+    "dyrs-tiered-swim": 7909,
+    "dyrs-lifecycle-aging-archive-faults": 3755,
+    "dyrs-sharded-async-4-chaos": 5548,
+}
+
+
+@functools.cache
+def _run(name) -> tuple[str, int]:
+    """Each case runs once, shared by its digest and its step pin."""
+    return CASES[name]()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
-    assert CASES[name]() == GOLDEN[name]
+    assert _run(name)[0] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_steps(name):
+    assert _run(name)[1] == GOLDEN_STEPS[name]
 
 
 if __name__ == "__main__":
-    for case, run in CASES.items():
-        print(f'    "{case}": "{run()}",')
+    results = {case: run() for case, run in CASES.items()}
+    print("GOLDEN = {")
+    for case, (digest, _steps) in results.items():
+        print(f'    "{case}": "{digest}",')
+    print("}\nGOLDEN_STEPS = {")
+    for case, (_digest, steps) in results.items():
+        print(f'    "{case}": {steps},')
+    print("}")

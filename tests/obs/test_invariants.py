@@ -357,3 +357,102 @@ class TestDeadShardAssignInvariant:
             )
             == []
         )
+
+
+def _violations(method, specs):
+    t = Tracer()
+    for etype, time, fields in specs:
+        t.emit(etype, time, **fields)
+    return getattr(TraceInvariants(t.events), method)()
+
+
+class TestViolationMessagesExact:
+    """Every message the three stream audits can produce, byte for byte.
+
+    The location prefix (``event #i t=...``) is formatted only when a
+    violation is recorded; the expected texts were captured from the
+    audit that formatted it for every event, so a lazy formatter that
+    drifted by a character fails here.
+    """
+
+    def test_protocol_messages(self):
+        assert _violations(
+            "violations",
+            (
+                (T.RUN_START, 0.0, {}),
+                (T.BIND, 0.5, {"block": "b1", "node": 2}),
+                (T.PENDING, 1.0, {"block": "b2"}),
+                (T.DROPPED, 1.25, {"block": "b2", "status": "done"}),
+                (T.MLOCK_START, 2.0, {"block": "b3", "node": 1, "source": "disk"}),
+                (T.MLOCK_START, 2.5, {"block": "b4", "node": 1, "source": "disk"}),
+                (T.READ_MEMORY, 3.0, {"block": "b5", "node": 0}),
+                (T.PRELOAD, 3.5, {"block": "b6", "node": 0}),
+                (T.EVICTED, 4.0, {"block": "b6", "node": 0}),
+            ),
+        ) == [
+            "event #1 t=0.5: bind of b1 on 2 with no outstanding pending "
+            "(delayed binding violated, §III-A1)",
+            "event #3 t=1.25: drop of b2 from status 'done' is not a legal "
+            "transition (record lattice violated, §III-A)",
+            "event #5 t=2.5: mlock_start of b4 on 1 lane=disk while b3 still "
+            "copying (per-disk serialization violated, §III-B)",
+            "event #6 t=3.0: read_memory of b5 on 0 before its mlock_done "
+            "(read served from an unlocked buffer)",
+            "event #8 t=4.0: block b6 evicted on 0 while still "
+            "memory-resident (buffer not released, §III-C3)",
+        ]
+
+    def test_lifecycle_messages(self):
+        assert _violations(
+            "lifecycle_violations",
+            (
+                (T.TIER_MOVE, 1.0,
+                 {"block": "b1", "resident": [], "replicas_after": 0}),
+                (T.TIER_MOVE_CORRUPT, 2.0, {"block": "b2", "resident": []}),
+                (T.TIER_MOVE, 3.0,
+                 {"block": "b3", "resident": ["archive"], "dest": "archive",
+                  "replicas_after": 2, "target_replicas": 1}),
+            ),
+        ) == [
+            "event #0 t=1.0: move left block b1 resident in zero tiers "
+            "(source deleted before the copy was safe)",
+            "event #0 t=1.0: move of block b1 left 0 durable copies "
+            "(conservation violated)",
+            "event #1 t=2.0: corrupt move left block b2 resident in zero "
+            "tiers (source deleted before the copy was safe)",
+            "event #2 t=3.0: block b3 archive-resident without a recorded "
+            "checksum (integrity model violated)",
+            "event #2 t=3.0: archive demotion of block b3 left 2 durable "
+            "copies, target 1 (replication scheduler violated)",
+        ]
+
+    def test_shard_messages(self):
+        assert _violations(
+            "shard_violations",
+            (
+                (T.PULL_LEG_OPEN, 0.0,
+                 {"node": 0, "shard": 1, "window": 1, "outstanding": 1}),
+                (T.PULL_LEG_OPEN, 0.1,
+                 {"node": 0, "shard": 1, "window": 1, "outstanding": 2}),
+                (T.SHARD_ASSIGN, 0.5, {"block": "b1", "shard": 0, "n_shards": 2}),
+                (T.PENDING, 0.75, {"block": "b2"}),
+                (T.SHARD_ASSIGN, 1.0, {"block": "b2", "shard": 5, "n_shards": 3}),
+                (T.SHARD_DEAD, 1.5, {"shard": 1, "n_shards": 2}),
+                (T.SHARD_ASSIGN, 2.0, {"block": "b2", "shard": 1, "n_shards": 2}),
+                (T.SHARD_RECOVER, 3.0,
+                 {"shard": 0, "generation": 2, "n_shards": 2}),
+            ),
+        ) == [
+            "event #1 t=0.1: node 0 has 2 open pull legs to shard 1, "
+            "window 1 (outstanding budget violated)",
+            "event #2 t=0.5: shard_assign of b1 with no outstanding pending "
+            "record",
+            "event #4 t=1.0: segment 0 shard count changed 2 -> 3 "
+            "(resharding mid-run re-homes records)",
+            "event #4 t=1.0: shard id 5 outside range(3)",
+            "event #6 t=2.0: block b2 assigned to shard 1 after it was "
+            "declared dead (rebalance single-ownership violated)",
+            "event #6 t=2.0: block b2 assigned to shard 1 while shard 5 "
+            "still owns it (single ownership violated)",
+            "event #7 t=3.0: shard 0 recovered at generation 2, expected 1",
+        ]

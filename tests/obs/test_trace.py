@@ -1,5 +1,9 @@
 """Tracer mechanics: no-op default, scoping, export round-trip."""
 
+import dataclasses
+
+import pytest
+
 from repro.obs import trace as T
 from repro.obs.trace import (
     NULL_TRACER,
@@ -105,3 +109,40 @@ class TestJsonl:
             "node": 0,
             "queue_depth": 2,
         }
+
+
+class TestSlottedEvent:
+    """``TraceEvent`` is a frozen, slotted record: no per-instance
+    ``__dict__``, with equality and the JSON round trip unchanged."""
+
+    def test_no_instance_dict(self):
+        event = TraceEvent(T.BIND, 1.0, {"block": 1, "node": 0})
+        assert not hasattr(event, "__dict__")
+        assert TraceEvent.__slots__ == ("type", "time", "fields")
+
+    def test_frozen(self):
+        event = TraceEvent(T.BIND, 1.0, {"block": 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 2.0  # type: ignore[misc]
+
+    def test_equality_is_by_value(self):
+        a = TraceEvent(T.MLOCK_DONE, 4.5, {"block": 3, "node": 2})
+        assert a == TraceEvent(T.MLOCK_DONE, 4.5, {"node": 2, "block": 3})
+        assert a != TraceEvent(T.MLOCK_DONE, 4.0, {"block": 3, "node": 2})
+        assert a != TraceEvent(T.MLOCK_ABORT, 4.5, {"block": 3, "node": 2})
+        assert TraceEvent(T.REQUEST, None) == TraceEvent(T.REQUEST, None, {})
+
+    def test_json_round_trip(self, tmp_path):
+        event = TraceEvent(T.BIND, 1.25, {"block": 1, "node": 0, "queue_depth": 2})
+        line = event.to_json()
+        assert line == (
+            '{"block": 1, "node": 0, "queue_depth": 2, "time": 1.25, '
+            '"type": "bind"}'
+        )
+        assert TraceEvent.from_json(line) == event
+        t = Tracer()
+        t.emit(T.UNREFERENCED, None, block=3)
+        t.emit(T.BIND, 1.25, block=1, node=0, queue_depth=2)
+        loaded = load_jsonl(t.dump_jsonl(tmp_path / "trace.jsonl"))
+        assert loaded == t.events
+        assert loaded[1] == event
