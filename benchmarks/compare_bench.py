@@ -10,7 +10,9 @@ machine-independent headline numbers in ``benchmarks[].extra_info``.
 For the kernel benchmark those are speedup *ratios*
 (``churn_speedup``, ``swim_speedup``: virtual-time kernel events/sec
 over the legacy kernel's, measured on the same machine in the same
-process, so runner speed cancels out).  For the lifecycle benchmark
+process, so runner speed cancels out) plus the deterministic
+``churn_events_per_completion`` (engine events scheduled per completed
+flow, lower is better).  For the lifecycle benchmark
 they are simulated quantities (``archive_hit_ratio``,
 ``reheat_latency_s``), deterministic per seed.  Absolute wall-clock
 numbers like ``churn_events_per_sec`` vary with the runner and are
@@ -43,6 +45,7 @@ GATED_LOWER = (
     "reheat_latency_s",
     "makespan_overhead_ratio",
     "events_per_task_1k",
+    "churn_events_per_completion",
 )
 #: extra_info keys shown for context only (absolute; runner-dependent).
 INFORMATIONAL = (

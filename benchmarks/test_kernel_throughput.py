@@ -11,6 +11,11 @@ kernel under the workloads where its complexity shows:
   system stack dilutes the kernel's share of the wall clock, so the
   ratio here is informational, not gated).
 
+Both speedups are wall-clock ratios and move with runner noise.  The
+deterministic counterpart is ``churn_events_per_completion``: engine
+events scheduled per completed flow on the virtual-time kernel's
+churn run, which changes only when the kernel schedules differently.
+
 Both measurements run under each kernel on the *identical* logical
 schedule; a machine-readable summary is exported as
 ``BENCH_kernel.json`` via :func:`repro.experiments.export.export_json`.
@@ -124,9 +129,11 @@ def _swim_once(kernel_name: str) -> dict:
 def _run_all() -> dict:
     churn = {name: _churn_once(name) for name in KERNELS}
     swim = {name: _swim_once(name) for name in KERNELS}
+    vt = churn["virtual-time"]
     return {
         "churn": churn,
         "swim_64_node": swim,
+        "churn_events_per_completion": vt["events"] / vt["completions"],
         "churn_speedup": (
             churn["virtual-time"]["events_per_sec"]
             / churn["legacy"]["events_per_sec"]
@@ -158,6 +165,9 @@ def test_kernel_throughput(run_experiment, benchmark, tmp_path):
     result = run_experiment(_run_all, report_fn=_report)
     path = export_json(tmp_path / "BENCH_kernel.json", result)
     assert path.exists()
+    benchmark.extra_info["churn_events_per_completion"] = result[
+        "churn_events_per_completion"
+    ]
     benchmark.extra_info["churn_speedup"] = result["churn_speedup"]
     benchmark.extra_info["swim_speedup"] = result["swim_speedup"]
     benchmark.extra_info["churn_events_per_sec"] = result["churn"]["virtual-time"][

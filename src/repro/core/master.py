@@ -249,15 +249,22 @@ class DyrsMaster(MigrationMaster):
             service.add_contributor(node_id, slave.heartbeat_payload)
 
     def on_heartbeat(self, report: "HeartbeatReport") -> None:
-        """Harvest ``(estimate, queued)`` from a slave heartbeat."""
-        spb = report.payload.get("dyrs.seconds_per_byte")
-        queued = report.payload.get("dyrs.queued_blocks")
+        """Harvest ``(estimate, queued)`` from a slave heartbeat.
+
+        An unchanged pair keeps the stored :class:`SlaveLoad`: it is
+        frozen and compared by value, so the reuse is unobservable, and
+        a steady slave's reports build no new load object.
+        """
+        payload = report.payload
+        spb = payload.get("dyrs.seconds_per_byte")
+        queued = payload.get("dyrs.queued_blocks")
         if spb is None or queued is None:
             return
-        self._last_slave_report[report.node_id] = report.time
-        self._loads[report.node_id] = SlaveLoad(
-            seconds_per_byte=spb, queued_blocks=queued
-        )
+        node_id = report.node_id
+        self._last_slave_report[node_id] = report.time
+        load = self._loads.get(node_id)
+        if load is None or load.seconds_per_byte != spb or load.queued_blocks != queued:
+            self._loads[node_id] = SlaveLoad(seconds_per_byte=spb, queued_blocks=queued)
 
     def start(self) -> None:
         """Launch the periodic retargeting thread (idempotent)."""

@@ -265,13 +265,16 @@ class DyrsSlave:
             # missing dyrs.* keys as report staleness and reclaims the
             # process's bound work.
             return {}
+        # An idle slave (no active migration) has nothing to refresh,
+        # so test that before the config flag.
+        active = self._active
         if (
-            self.config.estimator_refresh
-            and self._active is not None
-            and self._active.started_at is not None
+            active is not None
+            and active.started_at is not None
+            and self.config.estimator_refresh
         ):
-            elapsed = self.sim.now - self._active.started_at
-            self.estimator.refresh(elapsed, self._active.block.size, now=self.sim.now)
+            now = self.sim.now
+            self.estimator.refresh(now - active.started_at, active.block.size, now=now)
         payload = {
             "dyrs.seconds_per_byte": self.estimator.seconds_per_byte,
             "dyrs.queued_blocks": self.queued_blocks,

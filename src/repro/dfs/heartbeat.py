@@ -173,16 +173,17 @@ class HeartbeatService:
         sim = self.sim
         namenode = self.namenode
         interval = namenode.heartbeat_interval
-        cluster_node = namenode.cluster.node
+        cluster = namenode.cluster
         contributors = self._contributors
         receive = namenode.receive_heartbeat
         report_cls = HeartbeatReport
         try:
             while True:
                 partitioned = namenode.partitioned
+                nodes = cluster.nodes  # indexed by node id
                 now = sim.now
                 for node_id in namenode.datanodes:
-                    if not cluster_node(node_id).alive or node_id in partitioned:
+                    if not nodes[node_id].alive or node_id in partitioned:
                         continue
                     contribs = contributors.get(node_id, ())
                     if len(contribs) == 1:

@@ -61,7 +61,7 @@ from __future__ import annotations
 # simlint: disable-file=VT402 -- the virtual-finish heap is internal to
 # the fair-share kernel (keyed by (vfinish, flow id), ties broken by
 # the flow's creation order), not the engine's event queue; wake-ups
-# still go through Simulator.call_at.
+# are pushed by the engine (Simulator._call_in).
 import heapq
 import math
 from itertools import count
@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from repro.sim.events import URGENT_PRIORITY, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import ScheduledCall, Simulator
 
 __all__ = [
     "BandwidthResource",
@@ -237,7 +237,7 @@ class BandwidthResource:
         #: Generation counter; bumped on every membership change so
         #: stale wake-ups identify themselves.
         self._generation = 0
-        self._wakeup: Optional[Event] = None
+        self._wakeup: Optional[ScheduledCall] = None
         # Utilization accounting (busy-time integral and bytes moved).
         self._busy_time = 0.0
         self._bytes_moved = 0.0
@@ -429,12 +429,10 @@ class BandwidthResource:
         delay = self._next_completion_delay()
         if math.isinf(delay):
             return
-        wakeup = Event(self.sim, name=f"bw-wakeup:{self.name}")
         generation = self._generation
-        wakeup.add_callback(lambda _e: self._on_wakeup(generation))
-        wakeup._ok = True
-        self.sim._schedule(wakeup, delay, priority=URGENT_PRIORITY)
-        self._wakeup = wakeup
+        self._wakeup = self.sim._call_in(
+            delay, lambda: self._on_wakeup(generation), URGENT_PRIORITY
+        )
 
     def _is_finished(self, flow: Flow) -> bool:
         """Completion test robust to float residue.

@@ -10,16 +10,44 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.events import NORMAL_PRIORITY, Event, Timeout
 from repro.sim.process import Process
 
-__all__ = ["Simulator", "StopSimulation"]
+__all__ = ["ScheduledCall", "Simulator", "StopSimulation"]
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Simulator.run` early."""
+
+
+class ScheduledCall:
+    """A plain callback waiting in the event heap.
+
+    What :meth:`Simulator.call_at` returns.  It carries only the
+    state the run loop and :meth:`Simulator.discard` read -- no value,
+    no callbacks list -- and firing it calls ``callback()`` directly.
+    Cancel it with ``sim.discard(handle)``; it cannot be yielded.
+    """
+
+    __slots__ = ("_callback", "_discarded", "_processed")
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self._callback = callback
+        self._discarded = False
+        self._processed = False
+
+    def _process(self) -> None:
+        self._processed = True
+        self._callback()
+
+
+#: Anything the event heap holds: a triggered event or a plain call.
+Scheduled = Union[Event, ScheduledCall]
 
 
 class Simulator:
@@ -44,7 +72,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Scheduled]] = []
         self._seq = count()
         self._active_process: Optional[Process] = None
         self._n_discarded = 0
@@ -84,19 +112,20 @@ class Simulator:
         when: float,
         callback: Callable[[], None],
         priority: int = NORMAL_PRIORITY,
-    ) -> Event:
+    ) -> ScheduledCall:
         """Schedule ``callback()`` to run at absolute time ``when``.
 
-        Returns the underlying event; ``remove_callback`` can be used
-        to cancel before it fires (the event still pops, harmlessly).
+        Returns a :class:`ScheduledCall` handle; ``discard(handle)``
+        cancels it before it fires.  The heap key's time is
+        ``now + (when - now)``, which can differ from ``when`` in the
+        last bit -- the same instant ``timeout(when - now)`` lands on.
         """
-        if when < self._now:
-            raise ValueError(f"call_at into the past: {when} < {self._now}")
-        event = Event(self)
-        event.add_callback(lambda _e: callback())
-        event._ok = True
-        self._schedule(event, when - self._now, priority=priority)
-        return event
+        now = self._now
+        if when < now:
+            raise ValueError(f"call_at into the past: {when} < {now}")
+        call = ScheduledCall(callback)
+        _heappush(self._heap, (now + (when - now), priority, next(self._seq), call))
+        return call
 
     # -- scheduling ----------------------------------------------------
 
@@ -106,11 +135,28 @@ class Simulator:
         """Insert a triggered event into the heap (engine internal)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heapq.heappush(
-            self._heap, (self._now + delay, priority, next(self._seq), event)
-        )
+        _heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
 
-    def discard(self, event: Event) -> None:
+    def _call_in(
+        self,
+        delay: float,
+        callback: Callable[[], None],
+        priority: int = NORMAL_PRIORITY,
+    ) -> ScheduledCall:
+        """Schedule ``callback()`` ``delay`` seconds from now (engine
+        internal).
+
+        The delay-keyed twin of :meth:`call_at`: the heap time is
+        ``now + delay``, exactly what :meth:`_schedule` would give an
+        event with that delay.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        call = ScheduledCall(callback)
+        _heappush(self._heap, (self._now + delay, priority, next(self._seq), call))
+        return call
+
+    def discard(self, event: Scheduled) -> None:
         """Cancel a scheduled event before it fires.
 
         The event is marked dead immediately -- it will never process
@@ -136,10 +182,13 @@ class Simulator:
 
         Safe at any point: entry keys ``(time, priority, seq)`` are
         unique (``seq`` is a global counter), so the rebuilt heap pops
-        in exactly the same order as the old one.
+        in exactly the same order as the old one.  The list is rebuilt
+        in place, so a run loop holding ``self._heap`` in a local sees
+        the compacted heap.
         """
-        self._heap = [entry for entry in self._heap if not entry[3]._discarded]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3]._discarded]
+        heapq.heapify(heap)
         self._n_discarded = 0
 
     @property
@@ -156,7 +205,7 @@ class Simulator:
         """
         heap = self._heap
         while heap and heap[0][3]._discarded:
-            heapq.heappop(heap)
+            _heappop(heap)
             self._n_discarded -= 1
         return heap[0][0] if heap else float("inf")
 
@@ -170,7 +219,7 @@ class Simulator:
         """
         heap = self._heap
         while True:
-            when, _prio, _seq, event = heapq.heappop(heap)
+            when, _prio, _seq, event = _heappop(heap)
             if event._discarded:
                 self._n_discarded -= 1
                 continue
@@ -184,15 +233,31 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if no event fires there, so back-to-back
-        ``run(until=...)`` calls observe a monotonic clock.
+        ``run(until=...)`` calls observe a monotonic clock.  An event
+        scheduled at ``t = inf`` never fires here.
+
+        Calls :meth:`step` once per event (it is the single dispatch
+        point instrumentation wraps); discarded entries surfacing at
+        the heap top are dropped in the loop, as :meth:`peek` does.
         """
         if until is not None and until < self._now:
             raise ValueError(f"run until the past: {until} < {self._now}")
+        inf = float("inf")
+        limit = inf if until is None else until
+        heap = self._heap
+        heappop = _heappop
+        step = self.step
         try:
-            while self.peek() != float("inf"):
-                if until is not None and self._heap[0][0] > until:
+            while heap:
+                head = heap[0]
+                if head[3]._discarded:
+                    heappop(heap)
+                    self._n_discarded -= 1
+                    continue
+                when = head[0]
+                if when >= inf or when > limit:
                     break
-                self.step()
+                step()
         except StopSimulation:
             return
         if until is not None and self._now < until:
@@ -206,12 +271,18 @@ class Simulator:
         RuntimeError
             If the heap drains or ``limit`` is reached first.
         """
-        while not event.processed:
-            if self.peek() > limit or not self._heap:
+        heap = self._heap
+        heappop = _heappop
+        step = self.step
+        while not event._processed:
+            while heap and heap[0][3]._discarded:
+                heappop(heap)
+                self._n_discarded -= 1
+            if not heap or heap[0][0] > limit:
                 raise RuntimeError(
                     f"simulation ended at t={self._now:.6g} before {event!r} processed"
                 )
-            self.step()
+            step()
         if event.ok:
             return event.value
         raise event.value

@@ -203,10 +203,16 @@ class Timeout(Event):
     ) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name)
-        self.delay = float(delay)
-        self._ok = True
+        # Event.__init__ inlined: a timeout is born triggered, and this
+        # is the kernel's most frequent allocation.
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._processed = False
+        self._discarded = False
+        self.delay = float(delay)
         sim._schedule(self, self.delay)
 
 

@@ -66,7 +66,7 @@ class Process(Event):
         # Kick off the first step as soon as the engine runs.
         bootstrap = Event(sim)
         bootstrap._ok = True
-        bootstrap.add_callback(self._resume)
+        bootstrap.callbacks.append(self._resume)
         sim._schedule(bootstrap)
         #: The engine-internal event allowed to resume us next (the
         #: bootstrap, or an interrupt carrier).  Resumes from any event
@@ -126,21 +126,22 @@ class Process(Event):
         if event is self._control:
             self._control = None
         self._target = None
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._ok:
                 yielded = self._generator.send(event._value)
             else:
                 yielded = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
+            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = None
+            sim._active_process = None
             self.fail(exc)
             return
-        self.sim._active_process = None
+        sim._active_process = None
         if not isinstance(yielded, Event):
             # Fail the process with a clear diagnostic instead of
             # letting a bare value wedge the generator forever.
@@ -151,9 +152,13 @@ class Process(Event):
             self._generator.close()
             self.fail(error)
             return
-        if yielded.sim is not self.sim:
+        if yielded.sim is not sim:
             self._generator.close()
             self.fail(ValueError("yielded event belongs to a different Simulator"))
             return
         self._target = yielded
-        yielded.add_callback(self._resume)
+        callbacks = yielded.callbacks
+        if callbacks is None:
+            self._resume(yielded)  # already processed: resume at once
+        else:
+            callbacks.append(self._resume)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.cluster import NodeSpec, PersistentInterference
 from repro.core import DyrsConfig, MigrationStatus
+from repro.core.targeting import SlaveLoad
 from repro.dfs import EvictionMode, ReadSource
+from repro.dfs.namenode import HeartbeatReport
 from repro.units import GB, MB
 
 
@@ -239,6 +241,39 @@ class TestMasterBookkeeping:
     def test_heartbeats_update_loads(self, rig):
         rig.sim.run(until=10)
         assert set(rig.master._loads) == {0, 1, 2, 3}
+
+    @staticmethod
+    def _report(node_id, time, spb, queued):
+        return HeartbeatReport(
+            node_id=node_id,
+            time=time,
+            payload={"dyrs.seconds_per_byte": spb, "dyrs.queued_blocks": queued},
+        )
+
+    def test_repeated_report_keeps_load_and_advances_report_time(self, rig):
+        master = rig.master
+        master.on_heartbeat(self._report(1, 3.0, 2e-8, 2))
+        load = master._loads[1]
+        assert load == SlaveLoad(seconds_per_byte=2e-8, queued_blocks=2)
+        master.on_heartbeat(self._report(1, 6.0, 2e-8, 2))
+        assert master._loads[1] == SlaveLoad(seconds_per_byte=2e-8, queued_blocks=2)
+        assert master._loads[1] is load  # same value: the stored load is kept
+        assert master._last_slave_report[1] == 6.0
+
+    def test_changed_report_replaces_load(self, rig):
+        master = rig.master
+        master.on_heartbeat(self._report(1, 3.0, 2e-8, 2))
+        master.on_heartbeat(self._report(1, 6.0, 2e-8, 3))
+        assert master._loads[1] == SlaveLoad(seconds_per_byte=2e-8, queued_blocks=3)
+        master.on_heartbeat(self._report(1, 9.0, 4e-8, 3))
+        assert master._loads[1] == SlaveLoad(seconds_per_byte=4e-8, queued_blocks=3)
+        assert master._last_slave_report[1] == 9.0
+
+    @pytest.mark.parametrize("spb", [0.0, -1e-8])
+    def test_non_positive_estimate_still_rejected(self, rig, spb):
+        rig.master.on_heartbeat(self._report(1, 3.0, 2e-8, 2))
+        with pytest.raises(ValueError):
+            rig.master.on_heartbeat(self._report(1, 6.0, spb, 2))
 
     def test_master_start_stop_idempotent(self, rig):
         rig.master.start()  # second start: no-op

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import Interrupt, Simulator
+from repro.sim.engine import ScheduledCall
+from repro.sim.events import URGENT_PRIORITY
 
 
 @pytest.fixture
@@ -61,6 +63,136 @@ class TestSimulatorClock:
         ev = sim.event()  # never triggered
         with pytest.raises(RuntimeError):
             sim.run_until_processed(ev)
+
+
+class TestCallAtHandle:
+    """``call_at`` returns a handle that ``Simulator.discard`` cancels."""
+
+    def test_returns_a_handle(self, sim):
+        handle = sim.call_at(2.0, lambda: None)
+        assert isinstance(handle, ScheduledCall)
+        assert not handle._processed
+        sim.run()
+        assert handle._processed
+
+    def test_discarded_handle_never_runs(self, sim):
+        seen = []
+        handle = sim.call_at(5.0, lambda: seen.append("cancelled"))
+        sim.call_at(6.0, lambda: seen.append("kept"))
+        sim.discard(handle)
+        sim.run()
+        assert seen == ["kept"]
+        assert not handle._processed
+
+    def test_pending_events_accounts_for_discard(self, sim):
+        handle = sim.call_at(5.0, lambda: None)
+        sim.call_at(6.0, lambda: None)
+        assert sim.pending_events == 2
+        sim.discard(handle)
+        assert sim.pending_events == 1
+        sim.discard(handle)  # twice: still one live event
+        assert sim.pending_events == 1
+        assert sim.peek() == 6.0
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_discard_after_firing_is_a_no_op(self, sim):
+        seen = []
+        handle = sim.call_at(1.0, lambda: seen.append(sim.now))
+        later = sim.call_at(3.0, lambda: seen.append(sim.now))
+        sim.run(until=2)
+        assert handle._processed
+        sim.discard(handle)
+        assert sim.pending_events == 1
+        assert sim._n_discarded == 0
+        sim.run()
+        assert seen == [1.0, 3.0]
+        assert later._processed
+
+    def test_heap_time_is_now_plus_offset(self, sim):
+        """The key is ``now + (when - now)``: where ``timeout(when -
+        now)`` lands, even when that differs from ``when`` in the last
+        bit."""
+        sim.run(until=0.7)
+        when = 2.9
+        assert sim.now + (when - sim.now) != when
+        fired = []
+        sim.call_at(when, lambda: fired.append(sim.now))
+        sim.timeout(when - sim.now).add_callback(lambda e: fired.append(sim.now))
+        sim.run()
+        assert fired == [0.7 + (2.9 - 0.7)] * 2
+
+
+class TestCompactionInsideRunLoops:
+    """A callback that discards enough entries compacts the heap while
+    ``run``/``run_until_processed`` hold it in a local; the rebuild is
+    in place, so the loops keep seeing every live event."""
+
+    N_DOOMED = 3 * Simulator.COMPACT_MIN_DISCARDED
+
+    def _scenario(self, sim):
+        fired = []
+        keys = {}  # label -> (time, priority, creation order)
+        order = iter(range(10**6))
+
+        def schedule(label, when, priority=1):
+            keys[label] = (when, priority, next(order))
+            sim.call_at(when, lambda: fired.append(label), priority)
+
+        doomed = [
+            sim.call_at(10.0 + i, lambda i=i: fired.append(f"doomed{i}"))
+            for i in range(self.N_DOOMED)
+        ]
+        schedule("a", 2.0)
+        schedule("b", 2.0)
+        schedule("c", 2.0, URGENT_PRIORITY)
+        schedule("d", 15.5)
+        sim.call_at(float("inf"), lambda: fired.append("at-inf"))
+        compactions = []
+
+        def purge():
+            n_before = len(sim._heap)
+            for handle in doomed:
+                sim.discard(handle)
+            compactions.append(len(sim._heap) < n_before)
+            # Scheduled after the rebuild: a loop still holding the
+            # pre-compaction list would never see these.
+            schedule("e", 12.0)
+            schedule("f", 12.0, URGENT_PRIORITY)
+            schedule("g", 20.0)
+            schedule("h", 3.0)
+
+        sim.call_at(2.5, purge)
+        return fired, keys, compactions
+
+    def _expected(self, keys):
+        return sorted(keys, key=keys.get)
+
+    def test_run(self, sim):
+        fired, keys, compactions = self._scenario(sim)
+        sim.run()
+        assert compactions == [True]
+        assert fired == self._expected(keys)
+        assert "at-inf" not in fired
+        assert sim.pending_events == 1  # the t = inf call is still there
+        assert sim.now == 20.0
+
+    def test_run_until(self, sim):
+        fired, keys, compactions = self._scenario(sim)
+        sim.run(until=13.0)
+        assert compactions == [True]
+        assert fired == [k for k in self._expected(keys) if keys[k][0] <= 13.0]
+        sim.run()
+        assert fired == self._expected(keys)
+
+    def test_run_until_processed(self, sim):
+        fired, keys, compactions = self._scenario(sim)
+        target = sim.timeout(30.0, value="done")
+        assert sim.run_until_processed(target) == "done"
+        assert compactions == [True]
+        assert fired == self._expected(keys)
+        assert not any(label.startswith("doomed") for label in fired)
+        assert sim.pending_events == 1  # the t = inf call
 
 
 class TestProcess:

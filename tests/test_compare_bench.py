@@ -208,6 +208,21 @@ def test_committed_baselines_load():
     assert "idle_notify_event_ratio" in scale["test_idle_notify_event_ratio"]
 
 
+def test_kernel_event_counter_is_gated_lower_is_better():
+    """``churn_events_per_completion`` is the kernel leg's deterministic
+    number: more engine events per completed flow is a regression."""
+    key = "churn_events_per_completion"
+    assert key in compare_bench.GATED_LOWER
+    baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+    kernel = compare_bench.load_extra_info(baselines / "BENCH_kernel.json")
+    # 35,264 events scheduled for 11,776 completed flows.
+    assert kernel["test_kernel_throughput"][key] == 35264 / 11776
+    baseline = {"bench": {key: 3.0}}
+    assert compare_bench.compare({"bench": {key: 2.0}}, baseline, 0.30) == []
+    failures = compare_bench.compare({"bench": {key: 4.0}}, baseline, 0.30)
+    assert len(failures) == 1 and key in failures[0]
+
+
 @pytest.mark.parametrize("key", compare_bench.GATED + compare_bench.GATED_LOWER)
 def test_every_gated_key_produces_output(key, capsys):
     """Each configured gate key actually participates in comparison."""
